@@ -6,11 +6,10 @@
 #include "obs/metrics_registry.hh"
 
 #include <fstream>
-#include <iomanip>
 #include <ostream>
 #include <set>
-#include <sstream>
 
+#include "obs/text_appender.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -70,19 +69,6 @@ MetricsRegistry::histogram(const std::string &name,
     return it->second;
 }
 
-namespace {
-
-/** Bound rendered for a column name: `4` not `4.000000`. */
-std::string
-boundLabel(double bound)
-{
-    std::ostringstream oss;
-    oss << std::setprecision(17) << bound;
-    return oss.str();
-}
-
-} // namespace
-
 void
 MetricsRegistry::snapshot(SimTime now)
 {
@@ -96,7 +82,7 @@ MetricsRegistry::snapshot(SimTime now)
         const MetricsHistogram &h = entry.second;
         for (std::size_t i = 0; i < h.bounds().size(); ++i) {
             row.values[entry.first + "_le_" +
-                       boundLabel(h.bounds()[i])] =
+                       formatGeneral17(h.bounds()[i])] =
                 static_cast<double>(h.bucketCount(i));
         }
         row.values[entry.first + "_le_inf"] =
@@ -118,22 +104,27 @@ MetricsRegistry::writeCsv(std::ostream &out) const
         for (const auto &entry : row.values)
             columns.insert(entry.first);
     }
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << "time";
+    TextAppender text(out);
+    text.append("time");
     for (const std::string &col : columns)
-        out << ',' << col;
-    out << '\n';
+        text.append(',').append(col);
+    text.append('\n');
     for (const Row &row : rows_) {
-        fmt.str("");
-        fmt << row.time;
+        text.appendGeneral17(row.time.seconds());
+        // A row's keys are a subset of the columns and both are in
+        // name order, so one forward walk finds every cell.
+        auto cell = row.values.begin();
         for (const std::string &col : columns) {
-            auto it = row.values.find(col);
-            fmt << ',' << (it == row.values.end() ? 0.0 : it->second);
+            double v = 0.0;
+            if (cell != row.values.end() && cell->first == col) {
+                v = cell->second;
+                ++cell;
+            }
+            text.append(',').appendGeneral17(v);
         }
-        fmt << '\n';
-        out << fmt.str();
+        text.append('\n');
     }
+    text.flush();
 }
 
 void

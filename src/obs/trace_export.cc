@@ -5,11 +5,14 @@
 
 #include "obs/trace_export.hh"
 
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <ostream>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
+#include "obs/text_appender.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -103,13 +106,55 @@ transitionFor(const TraceEvent &ev, const SpanState &st)
     return tr;
 }
 
+/**
+ * Open-span state of every request seen so far: a flat vector indexed
+ * by a dense slot, with a hash map from request id to slot. The map
+ * serves lookups only and is never iterated, so hash order cannot
+ * reach any output; the end-of-stream close walks open spans in id
+ * order.
+ */
+class SpanTable
+{
+  public:
+    SpanState &
+    at(std::uint64_t request)
+    {
+        auto [it, inserted] = slots_.try_emplace(request, states_.size());
+        if (inserted) {
+            states_.emplace_back();
+            ids_.push_back(request);
+        }
+        return states_[it->second];
+    }
+
+    /** Call fn(id, state) for each still-open span, in id order. */
+    template <typename Fn>
+    void
+    forEachOpen(Fn fn) const
+    {
+        std::vector<std::pair<std::uint64_t, std::size_t>> open;
+        for (std::size_t slot = 0; slot < states_.size(); ++slot) {
+            if (states_[slot].open)
+                open.emplace_back(ids_[slot], slot);
+        }
+        std::sort(open.begin(), open.end());
+        for (const auto &[id, slot] : open)
+            fn(id, states_[slot]);
+    }
+
+  private:
+    std::unordered_map<std::uint64_t, std::size_t> slots_;
+    std::vector<SpanState> states_;
+    std::vector<std::uint64_t> ids_; ///< Request id of each slot.
+};
+
 } // namespace
 
 std::map<RequestId, RequestTimeline>
 buildRequestTimelines(const std::vector<TraceEvent> &events)
 {
     std::map<RequestId, RequestTimeline> timelines;
-    std::map<std::uint64_t, SpanState> state;
+    SpanTable state;
 
     for (const TraceEvent &ev : events) {
         if (ev.request == kNoTraceRequest)
@@ -143,7 +188,7 @@ buildRequestTimelines(const std::vector<TraceEvent> &events)
           default:
             break;
         }
-        SpanState &st = state[ev.request];
+        SpanState &st = state.at(ev.request);
         Transition tr = transitionFor(ev, st);
         if (tr.close) {
             tl.spans.push_back(
@@ -157,56 +202,14 @@ buildRequestTimelines(const std::vector<TraceEvent> &events)
     // A truncated stream (tests, partial exports) can leave spans
     // open; close them at the stream's final timestamp.
     const SimTime last = events.empty() ? SimTime{} : events.back().time;
-    for (auto &entry : state) {
-        const SpanState &st = entry.second;
-        if (st.open) {
-            timelines[RequestId{entry.first}].spans.push_back(
-                {st.phase, st.replica, st.since, last});
-        }
-    }
+    state.forEachOpen([&](std::uint64_t id, const SpanState &st) {
+        timelines[RequestId{id}].spans.push_back(
+            {st.phase, st.replica, st.since, last});
+    });
     return timelines;
 }
 
 namespace {
-
-/** Microseconds with fixed 3-decimal formatting: byte-deterministic
- *  across platforms, sub-nanosecond resolution. */
-std::string
-fmtTs(SimTime t)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", t.seconds() * 1e6);
-    return buf;
-}
-
-/** Fixed 3-decimal double (straggler factors and the like). */
-std::string
-fmtFixed3(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    return buf;
-}
-
-/** Emits one JSON object per line with leading commas handled. */
-class JsonLines
-{
-  public:
-    explicit JsonLines(std::ostream &out) : out_(out) {}
-
-    void
-    line(const std::string &body)
-    {
-        if (!first_)
-            out_ << ",\n";
-        first_ = false;
-        out_ << body;
-    }
-
-  private:
-    std::ostream &out_;
-    bool first_ = true;
-};
 
 int
 pidOf(int replica)
@@ -214,41 +217,109 @@ pidOf(int replica)
     return replica < 0 ? 0 : replica + 1;
 }
 
-std::string
-durEvent(const char *ph, const char *name, SimTime t, int pid,
-         std::uint64_t tid, const std::string &args = "")
+/**
+ * Writes the `traceEvents` array one JSON object per line, with the
+ * separating commas. dur() and instant() open an event line; arg()
+ * adds to its `args` object and end() closes the line.
+ */
+class PerfettoLines
 {
-    std::string s = "{\"ph\":\"";
-    s += ph;
-    s += "\"";
-    if (name != nullptr) {
-        s += ",\"name\":\"";
-        s += name;
-        s += "\",\"cat\":\"qoserve\"";
-    }
-    s += ",\"ts\":" + fmtTs(t);
-    s += ",\"pid\":" + std::to_string(pid);
-    s += ",\"tid\":" + std::to_string(tid);
-    if (!args.empty())
-        s += ",\"args\":{" + args + "}";
-    s += "}";
-    return s;
-}
+  public:
+    explicit PerfettoLines(TextAppender &out) : out_(out) {}
 
-std::string
-instant(const char *name, SimTime t, int pid, std::uint64_t tid,
-        const std::string &args = "")
+    /** Start a line; the caller writes the whole object. */
+    TextAppender &
+    line()
+    {
+        if (!first_)
+            out_.append(",\n");
+        first_ = false;
+        return out_;
+    }
+
+    /** Duration begin/end; @p name is null on "E" lines. */
+    PerfettoLines &
+    dur(const char *ph, const char *name, SimTime t, int pid,
+        std::uint64_t tid)
+    {
+        line().append("{\"ph\":\"").append(ph).append('"');
+        if (name != nullptr) {
+            out_.append(",\"name\":\"")
+                .append(name)
+                .append("\",\"cat\":\"qoserve\"");
+        }
+        return track(t, pid, tid);
+    }
+
+    PerfettoLines &
+    instant(const char *name, SimTime t, int pid, std::uint64_t tid)
+    {
+        line()
+            .append("{\"ph\":\"i\",\"name\":\"")
+            .append(name)
+            .append("\",\"cat\":\"qoserve\",\"s\":\"t\"");
+        return track(t, pid, tid);
+    }
+
+    PerfettoLines &
+    arg(const char *key, std::int64_t v)
+    {
+        argKey(key).appendInt(v);
+        return *this;
+    }
+
+    /** An argument in fixed 3-decimal notation. */
+    PerfettoLines &
+    arg3(const char *key, double v)
+    {
+        argKey(key).appendFixed3(v);
+        return *this;
+    }
+
+    void
+    end()
+    {
+        out_.append(inArgs_ ? "}}" : "}");
+        inArgs_ = false;
+    }
+
+  private:
+    /** Timestamp in microseconds with fixed 3-decimal formatting:
+     *  byte-deterministic across platforms, sub-nanosecond
+     *  resolution. */
+    PerfettoLines &
+    track(SimTime t, int pid, std::uint64_t tid)
+    {
+        out_.append(",\"ts\":")
+            .appendFixed3(t.seconds() * 1e6)
+            .append(",\"pid\":")
+            .appendInt(pid)
+            .append(",\"tid\":")
+            .appendInt(tid);
+        return *this;
+    }
+
+    TextAppender &
+    argKey(const char *key)
+    {
+        out_.append(inArgs_ ? ",\"" : ",\"args\":{\"")
+            .append(key)
+            .append("\":");
+        inArgs_ = true;
+        return out_;
+    }
+
+    TextAppender &out_;
+    bool first_ = true;
+    bool inArgs_ = false;
+};
+
+/** Index of @p v in the sorted, duplicate-free @p sorted. */
+std::size_t
+indexIn(const std::vector<int> &sorted, int v)
 {
-    std::string s = "{\"ph\":\"i\",\"name\":\"";
-    s += name;
-    s += "\",\"cat\":\"qoserve\",\"s\":\"t\"";
-    s += ",\"ts\":" + fmtTs(t);
-    s += ",\"pid\":" + std::to_string(pid);
-    s += ",\"tid\":" + std::to_string(tid);
-    if (!args.empty())
-        s += ",\"args\":{" + args + "}";
-    s += "}";
-    return s;
+    return static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
 }
 
 } // namespace
@@ -257,31 +328,43 @@ void
 writePerfettoJson(const std::vector<TraceEvent> &events,
                   std::ostream &out)
 {
-    out << "{\"traceEvents\":[\n";
-    JsonLines json(out);
+    TextAppender text(out);
+    text.append("{\"traceEvents\":[\n");
+    PerfettoLines json(text);
+
+    // Every replica value the stream carries, sorted: -1 (and any
+    // other negative value a user CSV holds) are cluster-level and
+    // get no track, but still index the engine state below.
+    std::unordered_set<int> distinct;
+    for (const TraceEvent &ev : events)
+        distinct.insert(ev.replica);
+    std::vector<int> replicas(distinct.begin(), distinct.end());
+    std::sort(replicas.begin(), replicas.end());
 
     // Track metadata: pid 0 is the cluster front door; each replica
     // is a process whose tid 0 is the engine track. Replica pids are
     // emitted in sorted order — deterministic output.
-    std::set<int> replicas;
-    for (const TraceEvent &ev : events) {
-        if (ev.replica >= 0)
-            replicas.insert(ev.replica);
-    }
-    json.line("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
-              "\"tid\":0,\"args\":{\"name\":\"cluster\"}}");
+    json.line().append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
+                       "\"tid\":0,\"args\":{\"name\":\"cluster\"}}");
     for (int r : replicas) {
-        json.line("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-                  std::to_string(pidOf(r)) +
-                  ",\"tid\":0,\"args\":{\"name\":\"replica " +
-                  std::to_string(r) + "\"}}");
-        json.line("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-                  std::to_string(pidOf(r)) +
-                  ",\"tid\":0,\"args\":{\"name\":\"engine\"}}");
+        if (r < 0)
+            continue;
+        json.line()
+            .append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":")
+            .appendInt(pidOf(r))
+            .append(",\"tid\":0,\"args\":{\"name\":\"replica ")
+            .appendInt(r)
+            .append("\"}}");
+        json.line()
+            .append("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":")
+            .appendInt(pidOf(r))
+            .append(",\"tid\":0,\"args\":{\"name\":\"engine\"}}");
     }
 
-    std::map<std::uint64_t, SpanState> state;
-    std::map<int, bool> engineOpen;
+    SpanTable state;
+    // Whether each replica's engine track has an iteration open,
+    // indexed like `replicas`.
+    std::vector<char> engineOpen(replicas.size(), 0);
 
     auto requestTid = [](std::uint64_t request) {
         // tid 0 is the engine track, so request ids shift up by one.
@@ -291,149 +374,144 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
     for (const TraceEvent &ev : events) {
         const std::uint64_t tid =
             ev.request == kNoTraceRequest ? 0 : requestTid(ev.request);
+        const int pid = pidOf(ev.replica);
         switch (ev.kind) {
           case TraceEventKind::IterStart:
-            json.line(durEvent(
-                "B", "iter", ev.time, pidOf(ev.replica), 0,
-                "\"prefill_tokens\":" + std::to_string(ev.arg) +
-                    ",\"decodes\":" +
-                    std::to_string(static_cast<long long>(ev.value))));
-            engineOpen[ev.replica] = true;
+            json.dur("B", "iter", ev.time, pid, 0)
+                .arg("prefill_tokens", ev.arg)
+                .arg("decodes", static_cast<std::int64_t>(ev.value))
+                .end();
+            engineOpen[indexIn(replicas, ev.replica)] = 1;
             break;
-          case TraceEventKind::IterEnd:
-            if (engineOpen[ev.replica]) {
-                json.line(durEvent("E", nullptr, ev.time,
-                                   pidOf(ev.replica), 0));
-                engineOpen[ev.replica] = false;
+          case TraceEventKind::IterEnd: {
+            char &open = engineOpen[indexIn(replicas, ev.replica)];
+            if (open) {
+                json.dur("E", nullptr, ev.time, pid, 0).end();
+                open = 0;
             }
             break;
+          }
           case TraceEventKind::Arrival:
-            json.line(instant("arrival", ev.time, 0, tid));
+            json.instant("arrival", ev.time, 0, tid).end();
             break;
           case TraceEventKind::AdmissionReject:
-            json.line(instant("admission-reject", ev.time, 0, tid));
+            json.instant("admission-reject", ev.time, 0, tid).end();
             break;
           case TraceEventKind::CacheHit:
-            json.line(instant("cache-hit", ev.time, pidOf(ev.replica),
-                              tid,
-                              "\"tokens\":" + std::to_string(ev.arg)));
+            json.instant("cache-hit", ev.time, pid, tid)
+                .arg("tokens", ev.arg)
+                .end();
             break;
           case TraceEventKind::CacheEvict:
-            json.line(instant("cache-evict", ev.time,
-                              pidOf(ev.replica), 0,
-                              "\"blocks\":" + std::to_string(ev.arg)));
+            json.instant("cache-evict", ev.time, pid, 0)
+                .arg("blocks", ev.arg)
+                .end();
             break;
           case TraceEventKind::Relegate:
-            json.line(
-                instant("relegate", ev.time, pidOf(ev.replica), tid));
+            json.instant("relegate", ev.time, pid, tid).end();
             break;
           case TraceEventKind::Crash:
-            json.line(instant("crash", ev.time, pidOf(ev.replica), 0));
+            json.instant("crash", ev.time, pid, 0).end();
             break;
           case TraceEventKind::Recover:
-            json.line(
-                instant("recover", ev.time, pidOf(ev.replica), 0));
+            json.instant("recover", ev.time, pid, 0).end();
             break;
           case TraceEventKind::StragglerStart:
-            json.line(instant("straggler-start", ev.time,
-                              pidOf(ev.replica), 0,
-                              "\"factor\":" + fmtFixed3(ev.value)));
+            json.instant("straggler-start", ev.time, pid, 0)
+                .arg3("factor", ev.value)
+                .end();
             break;
           case TraceEventKind::StragglerEnd:
-            json.line(instant("straggler-end", ev.time,
-                              pidOf(ev.replica), 0));
+            json.instant("straggler-end", ev.time, pid, 0).end();
             break;
           case TraceEventKind::ZoneOutage:
-            json.line(instant("zone-outage", ev.time, 0, 0,
-                              "\"zone\":" + std::to_string(ev.arg)));
+            json.instant("zone-outage", ev.time, 0, 0)
+                .arg("zone", ev.arg)
+                .end();
             break;
           case TraceEventKind::ZoneRestore:
-            json.line(instant("zone-restore", ev.time, 0, 0,
-                              "\"zone\":" + std::to_string(ev.arg)));
+            json.instant("zone-restore", ev.time, 0, 0)
+                .arg("zone", ev.arg)
+                .end();
             break;
           case TraceEventKind::PartitionStart:
-            json.line(instant("partition-start", ev.time, 0, 0,
-                              "\"blinded\":" + std::to_string(ev.arg)));
+            json.instant("partition-start", ev.time, 0, 0)
+                .arg("blinded", ev.arg)
+                .end();
             break;
           case TraceEventKind::PartitionEnd:
-            json.line(instant("partition-end", ev.time, 0, 0));
+            json.instant("partition-end", ev.time, 0, 0).end();
             break;
           case TraceEventKind::BreakerOpen:
-            json.line(instant("breaker-open", ev.time,
-                              pidOf(ev.replica), 0,
-                              "\"failures\":" + std::to_string(ev.arg)));
+            json.instant("breaker-open", ev.time, pid, 0)
+                .arg("failures", ev.arg)
+                .end();
             break;
           case TraceEventKind::BreakerClose:
-            json.line(instant("breaker-close", ev.time,
-                              pidOf(ev.replica), 0));
+            json.instant("breaker-close", ev.time, pid, 0).end();
             break;
           case TraceEventKind::BrownoutStep:
-            json.line(instant("brownout-step", ev.time, 0, 0,
-                              "\"level\":" + std::to_string(ev.arg)));
+            json.instant("brownout-step", ev.time, 0, 0)
+                .arg("level", ev.arg)
+                .end();
             break;
           case TraceEventKind::AlertRaised:
-            json.line(instant("slo-alert-raised", ev.time, 0, 0,
-                              "\"tier\":" + std::to_string(ev.arg) +
-                                  ",\"burn\":" + fmtFixed3(ev.value)));
+            json.instant("slo-alert-raised", ev.time, 0, 0)
+                .arg("tier", ev.arg)
+                .arg3("burn", ev.value)
+                .end();
             break;
           case TraceEventKind::AlertCleared:
-            json.line(instant("slo-alert-cleared", ev.time, 0, 0,
-                              "\"tier\":" + std::to_string(ev.arg)));
+            json.instant("slo-alert-cleared", ev.time, 0, 0)
+                .arg("tier", ev.arg)
+                .end();
             break;
           default: {
             if (ev.request == kNoTraceRequest)
                 break;
-            SpanState &st = state[ev.request];
+            SpanState &st = state.at(ev.request);
             Transition tr = transitionFor(ev, st);
             if (tr.close) {
-                json.line(durEvent("E", nullptr, ev.time,
-                                   pidOf(st.replica), tid));
+                json.dur("E", nullptr, ev.time, pidOf(st.replica), tid).end();
                 st.open = false;
             }
             if (tr.openNew) {
-                std::string args;
+                json.dur("B", tracePhaseName(tr.phase), ev.time,
+                         pidOf(tr.replica), tid);
                 if (ev.kind == TraceEventKind::ChunkStart)
-                    args = "\"tokens\":" + std::to_string(ev.arg);
-                json.line(durEvent("B", tracePhaseName(tr.phase),
-                                   ev.time, pidOf(tr.replica), tid,
-                                   args));
+                    json.arg("tokens", ev.arg);
+                json.end();
                 st = {true, tr.phase, tr.replica, ev.time};
             }
             if (ev.kind == TraceEventKind::Finish)
-                json.line(instant("finish", ev.time,
-                                  pidOf(ev.replica), tid));
+                json.instant("finish", ev.time, pid, tid).end();
             else if (ev.kind == TraceEventKind::RequestFailed)
-                json.line(instant("failed", ev.time,
-                                  pidOf(ev.replica), tid));
+                json.instant("failed", ev.time, pid, tid).end();
             else if (ev.kind == TraceEventKind::RetryExhausted)
-                json.line(instant("abandoned", ev.time, 0, tid));
+                json.instant("abandoned", ev.time, 0, tid).end();
             else if (ev.kind == TraceEventKind::DeadlineCancel)
-                json.line(instant("deadline-cancelled", ev.time, 0,
-                                  tid));
+                json.instant("deadline-cancelled", ev.time, 0, tid).end();
             else if (ev.kind == TraceEventKind::BrownoutShed)
-                json.line(instant("brownout-shed", ev.time, 0, tid));
+                json.instant("brownout-shed", ev.time, 0, tid).end();
             break;
           }
         }
     }
 
     // Close anything a truncated stream left open so B/E pairs always
-    // balance (both maps iterate in sorted key order).
+    // balance: request tracks in id order, then engine tracks in
+    // replica order.
     const SimTime last = events.empty() ? SimTime{} : events.back().time;
-    for (const auto &entry : state) {
-        if (entry.second.open) {
-            json.line(durEvent("E", nullptr, last,
-                               pidOf(entry.second.replica),
-                               requestTid(entry.first)));
-        }
-    }
-    for (const auto &entry : engineOpen) {
-        if (entry.second)
-            json.line(durEvent("E", nullptr, last, pidOf(entry.first),
-                               0));
+    state.forEachOpen([&](std::uint64_t id, const SpanState &st) {
+        json.dur("E", nullptr, last, pidOf(st.replica), requestTid(id)).end();
+    });
+    for (std::size_t i = 0; i < replicas.size(); ++i) {
+        if (engineOpen[i])
+            json.dur("E", nullptr, last, pidOf(replicas[i]), 0).end();
     }
 
-    out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    text.append("\n],\"displayTimeUnit\":\"ms\"}\n");
+    text.flush();
 }
 
 void

@@ -6,11 +6,11 @@
 #include "obs/trace_sink.hh"
 
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "obs/text_appender.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -99,20 +99,26 @@ TraceSink::writeCsv(std::ostream &out) const
     // max_digits10 makes the double fields round-trip exactly, so a
     // written trace re-read by the explainer carries the same
     // timestamps the exporters saw.
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << "event,time,request,replica,arg,value\n";
+    TextAppender text(out);
+    text.append("event,time,request,replica,arg,value\n");
     for (const TraceEvent &ev : events_) {
-        fmt.str("");
-        fmt << traceEventKindName(ev.kind) << ',' << ev.time << ',';
+        text.append(traceEventKindName(ev.kind))
+            .append(',')
+            .appendGeneral17(ev.time.seconds())
+            .append(',');
         if (ev.request == kNoTraceRequest)
-            fmt << -1;
+            text.append("-1");
         else
-            fmt << ev.request;
-        fmt << ',' << ev.replica << ',' << ev.arg << ',' << ev.value
-            << '\n';
-        out << fmt.str();
+            text.appendInt(ev.request);
+        text.append(',')
+            .appendInt(ev.replica)
+            .append(',')
+            .appendInt(ev.arg)
+            .append(',')
+            .appendGeneral17(ev.value)
+            .append('\n');
     }
+    text.flush();
 }
 
 void

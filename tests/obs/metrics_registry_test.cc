@@ -10,6 +10,8 @@
 
 #include <sstream>
 
+#include "obs_test_streams.hh"
+
 namespace qoserve {
 namespace {
 
@@ -113,6 +115,32 @@ TEST(MetricsSamplerDeathTest, NonPositiveIntervalPanics)
     EXPECT_DEATH(
         MetricsSampler(eq, reg, 0.0, [](MetricsRegistry &, SimTime) {}),
         "must be positive");
+}
+
+/** MetricsRegistry::writeCsv after test::fillCoverageRegistry(), as
+ *  written by the ostringstream-based writer this output is pinned
+ *  against. */
+const char kPinnedCsv[] = R"(time,depth,lat_count,lat_le_0.001,lat_le_0.5,lat_le_1e+20,lat_le_2.5,lat_le_inf,lat_sum,requests,tiny
+0,0.33333333333333331,1,0,1,1,1,1,0.25,3,0
+0.33333333333333331,-0,2,0,1,2,1,2,3.25,9007199254740992,9.9999999999999995e-08
+86400.100000000006,0.30000000000000004,3,0,1,2,1,3,1e+21,9007199254740992,4.9406564584124654e-324
+)";
+
+TEST(MetricsRegistry, CsvBytesArePinned)
+{
+    MetricsRegistry reg;
+    test::fillCoverageRegistry(reg);
+    std::stringstream out;
+    reg.writeCsv(out);
+    EXPECT_EQ(out.str(), kPinnedCsv);
+}
+
+TEST(MetricsRegistry, EmptyRegistryCsvIsHeaderOnly)
+{
+    MetricsRegistry reg;
+    std::stringstream out;
+    reg.writeCsv(out);
+    EXPECT_EQ(out.str(), "time\n");
 }
 
 } // namespace

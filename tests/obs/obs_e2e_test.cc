@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "fault/fault_injector.hh"
 #include "metrics/report_io.hh"
 #include "obs/explain.hh"
+#include "obs/metrics_registry.hh"
 #include "obs/slo_monitor.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_sink.hh"
@@ -330,6 +332,109 @@ TEST(ObsE2e, ExplainReportNamesEveryViolatedRequest)
     }
     EXPECT_NE(report.find("min coverage 100.000%"), std::string::npos)
         << report.substr(0, 400);
+}
+
+/** FNV-1a 64 of a byte string, as 16 hex digits. */
+std::string
+digestOf(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
+TEST(ObsE2e, WriterDigestsOfAFaultedZonedRunArePinned)
+{
+    // A small seeded run with crashes, stragglers, zone outages,
+    // partitions, a metrics cadence and the SLO monitor. The digests
+    // pin the bytes of all three obs writers on real data; they were
+    // taken from the string-concatenating writers and must survive
+    // any rewrite of the formatting.
+    Trace trace = smallTrace(6.0, 300, 19);
+    ClusterSim sim(defaultConfig(), trace);
+    sim.addReplicaGroup(4, fcfsFactory());
+    const SimTime horizon = trace.requests.back().arrival;
+    FaultConfig fc;
+    fc.crashMtbf = 20.0;
+    fc.crashMttr = 5.0;
+    fc.stragglerMtbf = 15.0;
+    fc.stragglerDuration = 5.0;
+    fc.stragglerFactor = 1.2345;
+    fc.seed = 3;
+    fc.horizon = horizon;
+    FaultInjector faults(fc, sim);
+    DomainConfig dc;
+    dc.zones = 2;
+    dc.zoneMtbf = 30.0;
+    dc.zoneMttr = 5.0;
+    dc.partitionMtbf = 20.0;
+    dc.partitionMttr = 4.0;
+    dc.seed = 5;
+    dc.horizon = horizon;
+    DomainInjector domains(dc, sim);
+
+    TraceSink sink;
+    sim.setTraceSink(&sink);
+    MetricsRegistry registry;
+    MetricsSampler sampler(
+        sim.eventQueue(), registry, 2.5,
+        [&sim](MetricsRegistry &reg, SimTime) {
+            std::size_t prefill = 0;
+            for (std::size_t i = 0; i < sim.numReplicas(); ++i) {
+                const Replica &rep = sim.replica(i);
+                prefill += rep.scheduler().prefillQueueSize();
+                reg.gauge("replica" + std::to_string(i) + "_kv_used") =
+                    static_cast<double>(rep.kv().usedBlocks());
+                reg.histogram("queue_depth", {0.5, 2.0, 8.0})
+                    .observe(static_cast<double>(
+                        rep.scheduler().prefillQueueSize()));
+            }
+            reg.counter("redispatches") =
+                static_cast<std::int64_t>(sim.redispatches());
+            reg.gauge("mean_prefill_queue") =
+                static_cast<double>(prefill) /
+                static_cast<double>(sim.numReplicas());
+        });
+    sampler.start();
+    SloMonitorConfig mc;
+    mc.budget = 0.05;
+    mc.burn = 1.0;
+    mc.shortWindow = 5.0;
+    mc.longWindow = 10.0;
+    mc.interval = 1.0;
+    SloMonitor monitor(sim.eventQueue(),
+                       TraceScope{&sink, &sim.eventQueue(), -1}, mc);
+    sim.metricsCollector().addRecordObserver(
+        [&](const RequestRecord &rec) {
+            monitor.observe(
+                rec.spec.tierId, sim.eventQueue().now(),
+                violatedSlo(rec, sim.metrics().tiers()[static_cast<
+                                     std::size_t>(rec.spec.tierId)]));
+        });
+    monitor.start();
+    sim.run();
+    ASSERT_GT(faults.stats().crashes, 0u);
+    ASSERT_GT(faults.stats().stragglerEpisodes, 0u);
+    ASSERT_GT(domains.stats().zoneOutages, 0u);
+    ASSERT_GT(domains.stats().partitions, 0u);
+    ASSERT_GT(monitor.alerts().size(), 0u);
+
+    std::stringstream perfetto, events, metrics;
+    writePerfettoJson(sink.events(), perfetto);
+    sink.writeCsv(events);
+    registry.writeCsv(metrics);
+    EXPECT_EQ(digestOf(perfetto.str()), "b75974a8c366cfe0");
+    EXPECT_EQ(digestOf(events.str()), "71ea3c45395f5ead");
+    EXPECT_EQ(digestOf(metrics.str()), "15a2a82d36a4c05c");
+    EXPECT_EQ(perfetto.str().size(), 1866995u);
+    EXPECT_EQ(events.str().size(), 677410u);
+    EXPECT_EQ(metrics.str().size(), 1633u);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "obs/explain.hh"
+#include "obs_test_streams.hh"
 
 namespace qoserve {
 namespace {
@@ -227,6 +228,115 @@ TEST(TraceExport, PerfettoSpuriousIterEndIsDropped)
     writePerfettoJson(
         {ev(TraceEventKind::IterEnd, SimTime{1.0}, kNoTraceRequest, 0, 1)}, out);
     EXPECT_EQ(countOf(out.str(), "\"ph\":\"E\""), 0u);
+}
+
+/** writePerfettoJson(test::coverageStream()), as written by the
+ *  string-concatenating exporter this output is pinned against. */
+const char kPinnedPerfetto[] = R"({"traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"cluster"}},
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"replica 0"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"replica 1"}},
+{"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"process_name","pid":3,"tid":0,"args":{"name":"replica 2"}},
+{"ph":"M","name":"thread_name","pid":3,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"process_name","pid":4,"tid":0,"args":{"name":"replica 3"}},
+{"ph":"M","name":"thread_name","pid":4,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"process_name","pid":6,"tid":0,"args":{"name":"replica 5"}},
+{"ph":"M","name":"thread_name","pid":6,"tid":0,"args":{"name":"engine"}},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":0.000,"pid":0,"tid":1099511627784},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":0.000,"pid":0,"tid":1099511627780},
+{"ph":"i","name":"admission-reject","cat":"qoserve","s":"t","ts":1.500,"pid":0,"tid":1099511627780},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":1.500,"pid":0,"tid":6},
+{"ph":"B","name":"queued","cat":"qoserve","ts":2.500,"pid":2,"tid":1099511627784},
+{"ph":"B","name":"queued","cat":"qoserve","ts":2.500,"pid":1,"tid":6},
+{"ph":"B","name":"iter","cat":"qoserve","ts":1000.000,"pid":2,"tid":0,"args":{"prefill_tokens":512,"decodes":3}},
+{"ph":"E","ts":1000.000,"pid":2,"tid":1099511627784},
+{"ph":"B","name":"prefill-running","cat":"qoserve","ts":1000.000,"pid":2,"tid":1099511627784,"args":{"tokens":512}},
+{"ph":"i","name":"cache-hit","cat":"qoserve","s":"t","ts":1000.000,"pid":2,"tid":1099511627784,"args":{"tokens":256}},
+{"ph":"E","ts":1234.567,"pid":2,"tid":1099511627784},
+{"ph":"B","name":"prefill-starved","cat":"qoserve","ts":1234.567,"pid":2,"tid":1099511627784},
+{"ph":"E","ts":1234.567,"pid":2,"tid":0},
+{"ph":"B","name":"iter","cat":"qoserve","ts":2000.000,"pid":0,"tid":0,"args":{"prefill_tokens":7,"decodes":-2}},
+{"ph":"B","name":"iter","cat":"qoserve","ts":2500.000,"pid":1,"tid":0,"args":{"prefill_tokens":64,"decodes":7}},
+{"ph":"i","name":"relegate","cat":"qoserve","s":"t","ts":2500.000,"pid":1,"tid":6},
+{"ph":"E","ts":3000.000,"pid":1,"tid":6},
+{"ph":"B","name":"stalled-by-preemption","cat":"qoserve","ts":3000.000,"pid":1,"tid":6},
+{"ph":"i","name":"cache-evict","cat":"qoserve","s":"t","ts":3000.000,"pid":1,"tid":0,"args":{"blocks":4}},
+{"ph":"i","name":"crash","cat":"qoserve","s":"t","ts":3500.000,"pid":2,"tid":0},
+{"ph":"E","ts":3500.000,"pid":2,"tid":1099511627784},
+{"ph":"i","name":"failed","cat":"qoserve","s":"t","ts":3500.000,"pid":2,"tid":1099511627784},
+{"ph":"B","name":"retry","cat":"qoserve","ts":3500.000,"pid":0,"tid":1099511627784},
+{"ph":"i","name":"recover","cat":"qoserve","s":"t","ts":500000.000,"pid":2,"tid":0},
+{"ph":"i","name":"straggler-start","cat":"qoserve","s":"t","ts":500000.000,"pid":1,"tid":0,"args":{"factor":1.062}},
+{"ph":"i","name":"straggler-start","cat":"qoserve","s":"t","ts":500000.000,"pid":2,"tid":0,"args":{"factor":2.346}},
+{"ph":"i","name":"straggler-start","cat":"qoserve","s":"t","ts":500000.000,"pid":3,"tid":0,"args":{"factor":1.000}},
+{"ph":"i","name":"straggler-end","cat":"qoserve","s":"t","ts":750000.000,"pid":1,"tid":0},
+{"ph":"i","name":"zone-outage","cat":"qoserve","s":"t","ts":750000.000,"pid":0,"tid":0,"args":{"zone":1}},
+{"ph":"i","name":"zone-restore","cat":"qoserve","s":"t","ts":1000000.000,"pid":0,"tid":0,"args":{"zone":1}},
+{"ph":"i","name":"partition-start","cat":"qoserve","s":"t","ts":1000000.000,"pid":0,"tid":0,"args":{"blinded":3}},
+{"ph":"i","name":"partition-end","cat":"qoserve","s":"t","ts":1250000.000,"pid":0,"tid":0},
+{"ph":"i","name":"breaker-open","cat":"qoserve","s":"t","ts":1250000.000,"pid":3,"tid":0,"args":{"failures":3}},
+{"ph":"i","name":"breaker-close","cat":"qoserve","s":"t","ts":1500000.000,"pid":3,"tid":0},
+{"ph":"i","name":"brownout-step","cat":"qoserve","s":"t","ts":1500000.000,"pid":0,"tid":0,"args":{"level":2}},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":2000000.000,"pid":0,"tid":4611686018427387906},
+{"ph":"B","name":"queued","cat":"qoserve","ts":2000000.000,"pid":1,"tid":4611686018427387906},
+{"ph":"E","ts":2000000.000,"pid":1,"tid":4611686018427387906},
+{"ph":"B","name":"prefill-running","cat":"qoserve","ts":2000000.000,"pid":1,"tid":4611686018427387906,"args":{"tokens":64}},
+{"ph":"E","ts":2100000.000,"pid":1,"tid":4611686018427387906},
+{"ph":"B","name":"decode","cat":"qoserve","ts":2100000.000,"pid":1,"tid":4611686018427387906},
+{"ph":"E","ts":3000000.001,"pid":1,"tid":4611686018427387906},
+{"ph":"i","name":"finish","cat":"qoserve","s":"t","ts":3000000.001,"pid":1,"tid":4611686018427387906},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":3000000.001,"pid":0,"tid":10},
+{"ph":"i","name":"brownout-shed","cat":"qoserve","s":"t","ts":3000000.001,"pid":0,"tid":10},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":4000000.000,"pid":0,"tid":12},
+{"ph":"B","name":"queued","cat":"qoserve","ts":4000000.000,"pid":2,"tid":12},
+{"ph":"E","ts":4500000.000,"pid":2,"tid":12},
+{"ph":"i","name":"deadline-cancelled","cat":"qoserve","s":"t","ts":4500000.000,"pid":0,"tid":12},
+{"ph":"E","ts":5000000.000,"pid":0,"tid":1099511627784},
+{"ph":"i","name":"abandoned","cat":"qoserve","s":"t","ts":5000000.000,"pid":0,"tid":1099511627784},
+{"ph":"i","name":"slo-alert-raised","cat":"qoserve","s":"t","ts":60000000.000,"pid":0,"tid":0,"args":{"tier":1,"burn":14.444}},
+{"ph":"i","name":"slo-alert-raised","cat":"qoserve","s":"t","ts":60000000.000,"pid":0,"tid":0,"args":{"tier":0,"burn":0.001}},
+{"ph":"i","name":"slo-alert-cleared","cat":"qoserve","s":"t","ts":120000000.000,"pid":0,"tid":0,"args":{"tier":1}},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":86400123456.789,"pid":0,"tid":1099511627790},
+{"ph":"B","name":"queued","cat":"qoserve","ts":86400123456.789,"pid":6,"tid":1099511627790},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":86400123456.789,"pid":0,"tid":3},
+{"ph":"B","name":"queued","cat":"qoserve","ts":86400123456.789,"pid":3,"tid":3},
+{"ph":"E","ts":86400500000.000,"pid":3,"tid":3},
+{"ph":"B","name":"prefill-running","cat":"qoserve","ts":86400500000.000,"pid":3,"tid":3,"args":{"tokens":128}},
+{"ph":"E","ts":86400500000.000,"pid":3,"tid":3},
+{"ph":"E","ts":86400500000.000,"pid":1,"tid":6},
+{"ph":"E","ts":86400500000.000,"pid":6,"tid":1099511627790},
+{"ph":"E","ts":86400500000.000,"pid":0,"tid":0},
+{"ph":"E","ts":86400500000.000,"pid":1,"tid":0}
+],"displayTimeUnit":"ms"}
+)";
+
+TEST(TraceExport, CoverageStreamHasEveryKind)
+{
+    std::vector<bool> seen(kTraceEventKinds, false);
+    for (const TraceEvent &e : test::coverageStream())
+        seen[static_cast<std::size_t>(e.kind)] = true;
+    for (int k = 0; k < kTraceEventKinds; ++k)
+        EXPECT_TRUE(seen[static_cast<std::size_t>(k)]) << k;
+}
+
+TEST(TraceExport, PerfettoBytesArePinned)
+{
+    std::stringstream out;
+    writePerfettoJson(test::coverageStream(), out);
+    EXPECT_EQ(out.str(), kPinnedPerfetto);
+}
+
+TEST(TraceExport, PerfettoEmptyStreamBytesArePinned)
+{
+    std::stringstream out;
+    writePerfettoJson({}, out);
+    EXPECT_EQ(out.str(),
+              "{\"traceEvents\":[\n"
+              "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
+              "\"tid\":0,\"args\":{\"name\":\"cluster\"}}\n"
+              "],\"displayTimeUnit\":\"ms\"}\n");
 }
 
 } // namespace

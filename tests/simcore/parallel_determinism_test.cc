@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -286,15 +288,41 @@ TEST(ParallelDeterminism, ForestGeneralizesAfterSplitScanRewrite)
     EXPECT_LT(sse, 0.15 * var);
 }
 
+/** Probe points a load runner saw; safe to record from pool
+ *  threads. */
+class ProbeLog
+{
+  public:
+    void
+    record(double qps)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        points_.push_back(qps);
+    }
+
+    /** The recorded points, sorted: parallel evaluation fixes which
+     *  points are probed, not the order they arrive in. */
+    std::vector<double>
+    sorted() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::vector<double> out = points_;
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::vector<double> points_; ///< Guarded by mutex_.
+};
+
 TEST(ParallelDeterminism, GoodputSearchIsIdenticalAcrossJobCounts)
 {
     // Synthetic load runner with a crisp capacity knee; the search
     // result and the set of probed points must not depend on jobs.
-    auto make_runner = [](double capacity,
-                          std::vector<double> *probes) {
+    auto make_runner = [](double capacity, ProbeLog *probes) {
         return [capacity, probes](double qps) {
-            if (probes != nullptr)
-                probes->push_back(qps);
+            probes->record(qps);
             RunSummary s;
             s.count = 100;
             s.violationRate = qps <= capacity ? 0.0 : 0.5;
@@ -308,21 +336,26 @@ TEST(ParallelDeterminism, GoodputSearchIsIdenticalAcrossJobCounts)
         GoodputSearch parallel_search;
         parallel_search.jobs = 4;
 
+        ProbeLog serial_probes, parallel_probes, again;
         double serial = measureMaxGoodput(
-            make_runner(capacity, nullptr), {}, serial_search);
-        std::vector<double> parallel_probes;
+            make_runner(capacity, &serial_probes), {}, serial_search);
         double parallel = measureMaxGoodput(
-            make_runner(capacity, &parallel_probes), {},
-            parallel_search);
+            make_runner(capacity, &parallel_probes), {}, parallel_search);
 
         EXPECT_EQ(serial, parallel) << "capacity=" << capacity;
-        // The parallel probe set is a superset of the serial one
-        // (no early exit), but every probe lies on the same
-        // deterministic grid: re-running yields the same sequence.
-        std::vector<double> again;
+        // Every probe lies on the same deterministic grid, so a re-run
+        // probes the same set of points (arrival order is up to the
+        // pool's threads).
         measureMaxGoodput(make_runner(capacity, &again), {},
                           parallel_search);
-        EXPECT_EQ(parallel_probes, again) << "capacity=" << capacity;
+        EXPECT_EQ(parallel_probes.sorted(), again.sorted())
+            << "capacity=" << capacity;
+        // The parallel probe set is a superset of the serial one: the
+        // same brackets, without the serial scan's early exit.
+        std::vector<double> s = serial_probes.sorted();
+        std::vector<double> p = parallel_probes.sorted();
+        EXPECT_TRUE(std::includes(p.begin(), p.end(), s.begin(), s.end()))
+            << "capacity=" << capacity;
     }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,14 @@ struct DatasetCase
     std::string name;
     double prompt_p50, prompt_p90, decode_p50, decode_p90;
 };
+
+// Without this, gtest names each case by dumping the struct's bytes,
+// which include the string's heap pointer and so change from run to
+// run.
+void PrintTo(const DatasetCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class DatasetQuantiles : public ::testing::TestWithParam<DatasetCase>
 {
