@@ -60,18 +60,30 @@ ForestLatencyPredictor::predictSupported(const BatchFeatures &features,
 
 namespace {
 
-/** True when box (lo, hi] is contained in @p outer on every axis. */
-bool
-boxWithin(const double *lo, const double *hi, const FeatureSupport &outer,
-          int dims)
+/**
+ * Largest unit in [0, units] whose probe is feasible, assuming
+ * feasibility is monotone: probes units first, then bisects. A fitted
+ * forest is not guaranteed monotone, so the result depends on the
+ * probe order; the memoised and uncached solves share this search to
+ * probe identically.
+ */
+template <typename Feasible>
+int
+largestFeasibleUnit(int units, Feasible &&feasible)
 {
-    if (outer.dims != dims)
-        return false;
-    for (int i = 0; i < dims; ++i) {
-        if (lo[i] < outer.lo[i] || hi[i] > outer.hi[i])
-            return false;
+    int lo = 0; // feasible (empty chunk) by definition
+    int hi = units;
+    if (feasible(hi))
+        return hi;
+    // Invariant: lo feasible, hi infeasible.
+    while (hi - lo > 1) {
+        int mid = lo + (hi - lo) / 2;
+        if (feasible(mid))
+            lo = mid;
+        else
+            hi = mid;
     }
-    return true;
+    return lo;
 }
 
 } // namespace
@@ -79,7 +91,7 @@ boxWithin(const double *lo, const double *hi, const FeatureSupport &outer,
 bool
 ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
                                         ChunkPlane &out,
-                                        ChunkPlane *super_scratch) const
+                                        ChunkPlane * /*super_scratch*/) const
 {
     // chunkTokens and prefillContext stay fully free: the solver
     // varies the former per probe and the latter drifts by the
@@ -93,36 +105,8 @@ ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
     const double hi[BatchFeatures::kCount] = {
         kInf, kInf, features.numDecodes + options_.planeDecodeSlack,
         features.decodeCtxSum + options_.planeContextSlack};
-
-    // Restriction composes exactly, so deriving the plane from a
-    // wider super-plane yields the node-for-node identical forest as
-    // deriving it from the source forest — at a fraction of the walk.
-    // The super-plane is refreshed (from the full forest) only when
-    // the requested box escapes it, which the slack scale makes rare.
-    if (super_scratch != nullptr && options_.superSlackScale >= 1.0) {
-        if (!super_scratch->valid() ||
-            !boxWithin(lo, hi, super_scratch->support,
-                       BatchFeatures::kCount)) {
-            double s = options_.superSlackScale;
-            const double slo[BatchFeatures::kCount] = {
-                -kInf, -kInf,
-                features.numDecodes - s * options_.planeDecodeSlack,
-                features.decodeCtxSum - s * options_.planeContextSlack};
-            const double shi[BatchFeatures::kCount] = {
-                kInf, kInf,
-                features.numDecodes + s * options_.planeDecodeSlack,
-                features.decodeCtxSum + s * options_.planeContextSlack};
-            forest_.restrictToBox(slo, shi, BatchFeatures::kCount,
-                                  super_scratch->forest,
-                                  super_scratch->support);
-        }
-        super_scratch->forest.restrictToBox(lo, hi,
-                                            BatchFeatures::kCount,
-                                            out.forest, out.support);
-    } else {
-        forest_.restrictToBox(lo, hi, BatchFeatures::kCount, out.forest,
-                              out.support);
-    }
+    forest_.restrictToBox(lo, hi, BatchFeatures::kCount, out.forest,
+                          out.support);
     out.quantile = options_.quantile;
     out.safetyMargin = options_.safetyMargin;
     return true;
@@ -132,9 +116,6 @@ void
 ChunkSolverCache::invalidate()
 {
     plane_.forest.clear();
-    super_.forest.clear();
-    for (SolveRecord &r : records_)
-        r.valid = false;
     ++stats_.invalidations;
 }
 
@@ -162,16 +143,12 @@ ChunkSolverCache::lookupOrPredict(const LatencyPredictor &predictor,
     auto x = features.toArray();
 
     ++stats_.queries;
-    if (plane_.valid()) {
-        if (plane_.support.contains(x.data(), BatchFeatures::kCount)) {
-            ++stats_.hits;
-            return plane_.predict(x.data(), BatchFeatures::kCount);
-        }
-        attributeMiss(x.data());
+    if (plane_.valid() &&
+        plane_.support.contains(x.data(), BatchFeatures::kCount)) {
+        ++stats_.hits;
+        return plane_.predict(x.data(), BatchFeatures::kCount);
     }
-
-    ++stats_.evaluations;
-    if (predictor.buildChunkPlane(features, plane_, &super_))
+    if (ensurePlane(predictor, features, x.data()))
         return plane_.predict(x.data(), BatchFeatures::kCount);
     return predictor.predict(features);
 }
@@ -187,10 +164,60 @@ ChunkSolverCache::ensurePlane(const LatencyPredictor &predictor,
         attributeMiss(x);
     }
     ++stats_.evaluations;
-    if (!predictor.buildChunkPlane(features, plane_, &super_))
+    if (!predictor.buildChunkPlane(features, plane_))
         return false;
     ++generation_;
     return true;
+}
+
+void
+ChunkSolverCache::shapeRows(int units, int step)
+{
+    auto rows = static_cast<std::size_t>(units) + 1;
+    std::size_t trees = plane_.forest.numTrees();
+    if (step == step_ && trees == trees_ && rows <= rowGeneration_.size())
+        return;
+    // A new step or tree count changes what every entry means, so all
+    // rows restart stale (stamp 0 precedes the first plane).
+    step_ = step;
+    trees_ = trees;
+    rowGeneration_.assign(std::max(rows, rowGeneration_.size()), 0);
+    paths_.resize(rowGeneration_.size() * trees);
+    preds_.resize(trees);
+}
+
+SimDuration
+ChunkSolverCache::probe(int unit, double *x)
+{
+    ++stats_.queries;
+    ++stats_.hits;
+    x[0] = static_cast<double>(unit * step_);
+    LeafPath *row = &paths_[static_cast<std::size_t>(unit) * trees_];
+    std::uint64_t &stamp = rowGeneration_[static_cast<std::size_t>(unit)];
+    const bool current = stamp == generation_;
+    stamp = generation_;
+    for (std::size_t t = 0; t < trees_; ++t) {
+        LeafPath &path = row[t];
+        bool inside = current;
+        for (int i = 0; i < kPathDims; ++i)
+            inside &= path.lo[i] < x[i + 1] && x[i + 1] <= path.hi[i];
+        if (inside) {
+            ++stats_.leafHits;
+        } else {
+            ++stats_.leafWalks;
+            FeatureSupport box;
+            box.reset(BatchFeatures::kCount);
+            path.leaf = plane_.forest.leafTracked(t, x, box);
+            for (int i = 0; i < kPathDims; ++i) {
+                path.lo[i] = box.lo[i + 1];
+                path.hi[i] = box.hi[i + 1];
+            }
+        }
+        preds_[t] = path.leaf;
+    }
+    // The same kernel and margin as ChunkPlane::predict, over the
+    // same per-tree values in the same order: bitwise identical.
+    return quantileOfPreds(preds_, plane_.quantile) * plane_.safetyMargin;
 }
 
 int
@@ -210,95 +237,18 @@ ChunkSolverCache::solve(const LatencyPredictor &predictor,
     if (!ensurePlane(predictor, features, x.data())) {
         // Predictor cannot partially evaluate: plain cold search with
         // per-probe predictions.
-        auto feasible = [&](int chunk) {
-            BatchFeatures f = decode_state;
-            f.chunkTokens = static_cast<double>(chunk);
-            ++stats_.queries;
-            return predictor.predict(f) <= budget;
-        };
-        int lo = 0, hi = units;
-        if (feasible(units * step))
-            return units * step;
-        while (hi - lo > 1) {
-            int mid = lo + (hi - lo) / 2;
-            if (feasible(mid * step))
-                lo = mid;
-            else
-                hi = mid;
-        }
-        return lo * step;
+        return step * largestFeasibleUnit(units, [&](int unit) {
+                   BatchFeatures f = decode_state;
+                   f.chunkTokens = static_cast<double>(unit * step);
+                   ++stats_.queries;
+                   return predictor.predict(f) <= budget;
+               });
     }
 
-    // Replay: a record from the current plane whose box contains the
-    // query (composition and prefill context; the chunk axis is
-    // skipped — each recorded probe fixed its own chunk) and whose
-    // budget interval contains the budget would probe the exact same
-    // chunks, observe bitwise-identical latencies, and take the same
-    // branch at every feasibility test — so its result IS this
-    // solve's result.
-    for (const SolveRecord &r : records_) {
-        if (!r.valid || r.generation != generation_)
-            continue;
-        bool inside = true;
-        for (int i = 1; i < BatchFeatures::kCount; ++i) {
-            if (!(r.box.lo[i] < x[static_cast<std::size_t>(i)] &&
-                  x[static_cast<std::size_t>(i)] <= r.box.hi[i])) {
-                inside = false;
-                break;
-            }
-        }
-        if (!inside)
-            continue;
-        if (!(r.budgetLo <= budget && budget < r.budgetHi))
-            continue;
-        ++stats_.replayHits;
-        return r.resultUnits * step;
-    }
-
-    // Cold search against the plane, with tracked probes feeding the
-    // next record. Probe latencies are bitwise identical to the
-    // untracked plane path (same walk, same quantile kernel).
-    SolveRecord rec;
-    rec.generation = generation_;
-    rec.box.reset(BatchFeatures::kCount);
-    rec.budgetLo = -std::numeric_limits<double>::infinity();
-    rec.budgetHi = std::numeric_limits<double>::infinity();
-    auto feasible = [&](int chunk) {
-        x[0] = static_cast<double>(chunk);
-        ++stats_.queries;
-        ++stats_.hits;
-        SimDuration lat = plane_.forest.predictQuantileTracked(
-                              x.data(), BatchFeatures::kCount,
-                              plane_.quantile, rec.box) *
-                          plane_.safetyMargin;
-        if (lat <= budget) {
-            rec.budgetLo = std::max(rec.budgetLo, lat);
-            return true;
-        }
-        rec.budgetHi = std::min(rec.budgetHi, lat);
-        return false;
-    };
-
-    int lo = 0; // feasible (empty chunk) by definition
-    int hi = units;
-    if (feasible(units * step)) {
-        lo = units;
-    } else {
-        // Invariant: lo feasible, hi infeasible.
-        while (hi - lo > 1) {
-            int mid = lo + (hi - lo) / 2;
-            if (feasible(mid * step))
-                lo = mid;
-            else
-                hi = mid;
-        }
-    }
-
-    rec.resultUnits = lo;
-    rec.valid = true;
-    records_[recordHead_] = rec;
-    recordHead_ = (recordHead_ + 1) % kSolveRecords;
-    return lo * step;
+    shapeRows(units, step);
+    return step * largestFeasibleUnit(units, [&](int unit) {
+               return probe(unit, x.data()) <= budget;
+           });
 }
 
 int
@@ -314,25 +264,11 @@ solveChunkBudget(const LatencyPredictor &predictor,
         return cache->solve(predictor, decode_state, budget, max_chunk,
                             step);
 
-    auto feasible = [&](int chunk) {
-        BatchFeatures f = decode_state;
-        f.chunkTokens = static_cast<double>(chunk);
-        return predictor.predict(f) <= budget;
-    };
-
-    int lo = 0;                // feasible (empty chunk) by definition
-    int hi = max_chunk / step; // in units of step
-    if (feasible(hi * step))
-        return hi * step;
-    // Invariant: lo feasible, hi infeasible.
-    while (hi - lo > 1) {
-        int mid = lo + (hi - lo) / 2;
-        if (feasible(mid * step))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo * step;
+    return step * largestFeasibleUnit(max_chunk / step, [&](int unit) {
+               BatchFeatures f = decode_state;
+               f.chunkTokens = static_cast<double>(unit * step);
+               return predictor.predict(f) <= budget;
+           });
 }
 
 } // namespace qoserve

@@ -87,13 +87,8 @@ class LatencyPredictor
      * Returns false (the default) when the predictor cannot partially
      * evaluate; the solver then falls back to per-probe predict().
      *
-     * @p super_scratch, when non-null, is caller-owned storage for a
-     * wider intermediate restriction: the plane is then derived from
-     * it (restriction composes exactly) instead of from the full
-     * source forest, which makes the frequent small rebuilds several
-     * times cheaper. The scratch is (re)built here whenever it does
-     * not cover the requested plane's box; its contents are opaque to
-     * the caller.
+     * @p super_scratch is unused (the solver passes null); decorators
+     * simply forward it.
      */
     virtual bool buildChunkPlane(const BatchFeatures &features,
                                  ChunkPlane &out,
@@ -169,14 +164,6 @@ class ForestLatencyPredictor : public LatencyPredictor
         /** Half-width of the validity box on the decode context-sum
          *  axis (same trade-off as planeDecodeSlack). */
         double planeContextSlack = 32768.0;
-
-        /**
-         * Multiplier on both plane slacks for the super-plane used as
-         * the intermediate restriction source (see buildChunkPlane).
-         * Another pure performance knob: predictions are identical
-         * for every value >= 1.
-         */
-        double superSlackScale = 4.0;
     };
 
     /** Train on profiles of @p model with default options. */
@@ -190,6 +177,8 @@ class ForestLatencyPredictor : public LatencyPredictor
     SimDuration predictSupported(const BatchFeatures &features,
                                  FeatureSupport &support) const override;
 
+    /** Builds the plane from the full forest; @p super_scratch is
+     *  ignored. */
     bool buildChunkPlane(const BatchFeatures &features, ChunkPlane &out,
                          ChunkPlane *super_scratch = nullptr)
         const override;
@@ -208,23 +197,26 @@ class ForestLatencyPredictor : public LatencyPredictor
 /**
  * Memoises the chunk-budget search at two levels.
  *
- * Probe level: holds one ChunkPlane — the predictor partially
+ * Plane level: holds one ChunkPlane — the predictor partially
  * evaluated over the (chunkTokens, prefillContext) axes the solver
- * actually varies. A probe is served from the plane iff the remaining
- * composition features (decode batch size, context sum) still fall
- * inside the plane's box, which makes every hit provably bitwise
- * identical to a fresh forest evaluation: chunk probes and the head
- * prefill's context drift never force a rebuild, only genuine
- * composition changes do.
+ * actually varies. The plane is reused iff the remaining composition
+ * features (decode batch size, context sum) still fall inside its
+ * box, which makes every plane answer provably bitwise identical to
+ * a fresh forest evaluation. Chunk probes and the head prefill's
+ * context drift never force a rebuild, only genuine composition
+ * changes do.
  *
- * Solve level: every cold search runs its probes in *tracked* mode,
- * intersecting their leaf-stability boxes, and records the resulting
- * box together with the budget interval that preserves every probe's
- * feasibility sign and the plane generation it ran against. A later
- * solve matching a record (same plane, features inside the box,
- * budget inside the interval) would probe the exact same chunks,
- * observe the exact same latencies and signs, and therefore return
- * the identical result — so the search is skipped outright.
+ * Leaf level: one entry per (chunk unit u = chunk / step, plane tree
+ * t) remembers the leaf tree t reached at chunk u and the (lo, hi]
+ * box of that root-to-leaf path over the three non-chunk features.
+ * A later probe at unit u whose features lie inside the box takes the
+ * same path and reaches the same leaf, so the stored value is reused
+ * and only the trees whose box was left are walked again. Each row
+ * (unit) carries the plane generation its entries were walked
+ * against; a plane rebuild therefore retires every row at once. The
+ * per-tree values are combined by the same quantile kernel as
+ * ChunkPlane::predict, so every probe latency — and hence every solve
+ * — is bitwise identical to the uncached search.
  *
  * No explicit invalidation is required at either level — the box
  * proofs alone guard reuse.
@@ -236,11 +228,16 @@ class ChunkSolverCache
     struct Stats
     {
         std::uint64_t solves = 0;      ///< solve() calls.
-        std::uint64_t replayHits = 0;  ///< Solves answered by replay.
+        /** Always 0: the cache never replays a whole solve. Kept
+         *  for readers of the counter set (the simulator benchmark
+         *  reports it). */
+        std::uint64_t replayHits = 0;
         std::uint64_t queries = 0;     ///< Individual probe lookups.
-        std::uint64_t hits = 0;        ///< Box-validated plane reuses.
+        std::uint64_t hits = 0;        ///< Probes served by the plane.
         std::uint64_t evaluations = 0; ///< Plane rebuilds + fallbacks.
         std::uint64_t invalidations = 0; ///< invalidate() calls.
+        std::uint64_t leafHits = 0;  ///< Tree values reused from a path.
+        std::uint64_t leafWalks = 0; ///< Tree values walked afresh.
 
         /** Misses attributed to the first feature dimension whose
          *  value escaped a valid plane's box (diagnostics: which
@@ -248,8 +245,8 @@ class ChunkSolverCache
         std::uint64_t dimMisses[kMaxForestFeatures] = {};
     };
 
-    /** Drop the cached planes and solve records (forces a rebuild on
-     *  the next query). */
+    /** Drop the cached plane (forces a rebuild on the next query,
+     *  which retires every leaf path with it). */
     void invalidate();
 
     /**
@@ -278,31 +275,18 @@ class ChunkSolverCache
     const Stats &stats() const { return stats_; }
 
   private:
-    /** One recorded cold search (see class doc). */
-    struct SolveRecord
+    /** Features a leaf path is boxed over: all but chunkTokens, which
+     *  the row fixes. */
+    static constexpr int kPathDims = BatchFeatures::kCount - 1;
+
+    /** Memoised root-to-leaf path of one plane tree at one unit. */
+    struct LeafPath
     {
-        /** Plane generation the search ran against. */
-        std::uint64_t generation = 0;
-
-        /** Intersection of the probes' leaf-stability boxes. */
-        FeatureSupport box;
-
-        /** Half-open budget interval [budgetLo, budgetHi): any budget
-         *  inside it reproduces every feasibility sign (lat <= budget)
-         *  of the recorded search, because budgetLo is the largest
-         *  probed latency that was feasible and budgetHi the smallest
-         *  that was not. */
-        SimDuration budgetLo = 0.0;
-        SimDuration budgetHi = 0.0;
-
-        /** Solved chunk, in units of step. */
-        int resultUnits = 0;
-
-        bool valid = false;
+        /** (lo, hi] per feature 1..kCount-1 of the flattened query. */
+        double lo[kPathDims];
+        double hi[kPathDims];
+        double leaf;
     };
-
-    /** Recorded solves kept (ring; newest overwrite oldest). */
-    static constexpr int kSolveRecords = 16;
 
     void attributeMiss(const double *x);
 
@@ -311,18 +295,31 @@ class ChunkSolverCache
     bool ensurePlane(const LatencyPredictor &predictor,
                      const BatchFeatures &features, const double *x);
 
+    /** Size the leaf-path rows for units 0..@p units of @p step
+     *  against the current plane. */
+    void shapeRows(int units, int step);
+
+    /** Plane latency at chunk @p unit * step_, features @p x (x[0]
+     *  is overwritten). */
+    SimDuration probe(int unit, double *x);
+
     ChunkPlane plane_;
 
-    /** Wide intermediate restriction the predictor derives plane_
-     *  from (see LatencyPredictor::buildChunkPlane). */
-    ChunkPlane super_;
-
-    /** Bumped on every plane_ rebuild; ties solve records to the
-     *  exact plane contents they were recorded against. */
+    /** Bumped on every plane_ rebuild; a row is current only while
+     *  its stamp equals it. */
     std::uint64_t generation_ = 0;
 
-    SolveRecord records_[kSolveRecords];
-    int recordHead_ = 0;
+    /** Chunk step and plane tree count the rows were shaped for. */
+    int step_ = 0;
+    std::size_t trees_ = 0;
+
+    /** Row u holds entries [u * trees_, (u + 1) * trees_). */
+    std::vector<LeafPath> paths_;
+    std::vector<std::uint64_t> rowGeneration_;
+
+    /** Per-tree values of the current probe (the quantile kernel
+     *  reorders them, so they cannot alias paths_). */
+    std::vector<double> preds_;
 
     Stats stats_;
 };

@@ -366,38 +366,6 @@ sortNetwork(std::size_t n)
     return table[n];
 }
 
-/** Shared quantile-of-tree-predictions kernel. */
-double
-quantileOfPreds(std::vector<double> &preds, double q)
-{
-    // The interpolation reads only the lo-th and (lo+1)-th smallest
-    // values; any correct sort or selection produces exactly the
-    // doubles the original sort-and-interpolate placed there, so both
-    // paths below stay bitwise identical to it.
-    double pos = q * (preds.size() - 1);
-    auto lo = static_cast<std::size_t>(pos);
-    auto hi = std::min(lo + 1, preds.size() - 1);
-    double frac = pos - static_cast<double>(lo);
-    double v_lo, v_hi;
-    if (preds.size() >= 2 && preds.size() <= kMaxNetworkSort) {
-        double *v = preds.data();
-        for (auto [a, b] : sortNetwork(preds.size())) {
-            double x = v[a], y = v[b];
-            v[a] = std::min(x, y);
-            v[b] = std::max(x, y);
-        }
-        v_lo = v[lo];
-        v_hi = v[hi];
-    } else {
-        auto pivot = preds.begin() + static_cast<std::ptrdiff_t>(lo);
-        std::nth_element(preds.begin(), pivot, preds.end());
-        v_lo = *pivot;
-        v_hi = hi > lo ? *std::min_element(pivot + 1, preds.end())
-                       : v_lo;
-    }
-    return v_lo * (1.0 - frac) + v_hi * frac;
-}
-
 /**
  * Lockstep walk shared by the full and restricted forests: each
  * tree's node chain is serially dependent, but steps of *different*
@@ -435,6 +403,37 @@ lockstepFill(const FlatNode *nodes, const std::uint32_t *roots,
 
 } // namespace
 
+double
+quantileOfPreds(std::vector<double> &preds, double q)
+{
+    // The interpolation reads only the lo-th and (lo+1)-th smallest
+    // values; any correct sort or selection produces exactly the
+    // doubles the original sort-and-interpolate placed there, so both
+    // paths below stay bitwise identical to it.
+    double pos = q * (preds.size() - 1);
+    auto lo = static_cast<std::size_t>(pos);
+    auto hi = std::min(lo + 1, preds.size() - 1);
+    double frac = pos - static_cast<double>(lo);
+    double v_lo, v_hi;
+    if (preds.size() >= 2 && preds.size() <= kMaxNetworkSort) {
+        double *v = preds.data();
+        for (auto [a, b] : sortNetwork(preds.size())) {
+            double x = v[a], y = v[b];
+            v[a] = std::min(x, y);
+            v[b] = std::max(x, y);
+        }
+        v_lo = v[lo];
+        v_hi = v[hi];
+    } else {
+        auto pivot = preds.begin() + static_cast<std::ptrdiff_t>(lo);
+        std::nth_element(preds.begin(), pivot, preds.end());
+        v_lo = *pivot;
+        v_hi = hi > lo ? *std::min_element(pivot + 1, preds.end())
+                       : v_lo;
+    }
+    return v_lo * (1.0 - frac) + v_hi * frac;
+}
+
 void
 RestrictedForest::clear()
 {
@@ -459,42 +458,24 @@ RestrictedForest::predictQuantile(const double *x, int dims,
 }
 
 double
-RestrictedForest::predictQuantileTracked(const double *x, int dims,
-                                         double q,
-                                         FeatureSupport &support) const
+RestrictedForest::leafTracked(std::size_t tree, const double *x,
+                              FeatureSupport &support) const
 {
-    QOSERVE_ASSERT(valid(), "predictQuantileTracked() on an empty "
-                            "restriction");
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    QOSERVE_ASSERT(support.dims >= featureDims_,
-                   "support not initialised by the caller");
+    QOSERVE_ASSERT(tree < roots_.size(), "tree ", tree, " out of range");
     const FlatNode *nodes = flat_.data();
-    static thread_local std::vector<double> preds;
-    preds.resize(roots_.size());
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-        std::uint32_t node = roots_[t];
-        std::int32_t f;
-        while ((f = nodes[node].feature) >= 0) {
-            double thr = nodes[node].key;
-            if (x[f] <= thr) {
-                if (thr < support.hi[f])
-                    support.hi[f] = thr;
-                node = node + 1;
-            } else {
-                if (thr > support.lo[f])
-                    support.lo[f] = thr;
-                node = nodes[node].right;
-            }
+    std::uint32_t node = roots_[tree];
+    std::int32_t f;
+    while ((f = nodes[node].feature) >= 0) {
+        double thr = nodes[node].key;
+        if (x[f] <= thr) {
+            support.hi[f] = std::min(support.hi[f], thr);
+            node = node + 1;
+        } else {
+            support.lo[f] = std::max(support.lo[f], thr);
+            node = nodes[node].right;
         }
-        preds[t] = nodes[node].key;
     }
-    return quantileOfPreds(preds, q);
-}
-
-double
-RandomForest::quantileOf(std::vector<double> &preds, double q) const
-{
-    return quantileOfPreds(preds, q);
+    return nodes[node].key;
 }
 
 void
@@ -513,32 +494,7 @@ RandomForest::restrictToBox(const double *lo, const double *hi, int dims,
                             FeatureSupport &support) const
 {
     QOSERVE_ASSERT(trained(), "restrictToBox() before fit()");
-    RestrictedForest::restrictImpl(flat_.data(), roots_.data(),
-                                   roots_.size(), maxTreeDepth_,
-                                   featureDims_, lo, hi, dims, out,
-                                   support);
-}
-
-void
-RestrictedForest::restrictToBox(const double *lo, const double *hi,
-                                int dims, RestrictedForest &out,
-                                FeatureSupport &support) const
-{
-    QOSERVE_ASSERT(valid(), "restrictToBox() on an empty restriction");
-    restrictImpl(flat_.data(), roots_.data(), roots_.size(), maxDepth_,
-                 featureDims_, lo, hi, dims, out, support);
-}
-
-void
-RestrictedForest::restrictImpl(const FlatNode *nodes,
-                               const std::uint32_t *src_roots,
-                               std::size_t num_roots, int max_depth,
-                               int feature_dims, const double *lo,
-                               const double *hi, int dims,
-                               RestrictedForest &out,
-                               FeatureSupport &support)
-{
-    QOSERVE_ASSERT(dims >= feature_dims, "feature vector too short");
+    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
     support.reset(dims);
     for (int i = 0; i < dims; ++i) {
         QOSERVE_ASSERT(lo[i] < hi[i], "empty restriction box on axis ",
@@ -547,8 +503,8 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
         support.hi[i] = hi[i];
     }
     out.clear();
-    out.featureDims_ = feature_dims;
-    out.roots_.reserve(num_roots);
+    out.featureDims_ = featureDims_;
+    out.roots_.reserve(roots_.size());
 
     // Preorder re-emission. A split with the whole box on one side is
     // resolved: every in-box query (lo < x <= hi) takes that branch,
@@ -556,7 +512,7 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
     // Box-crossing splits are kept with both subtrees; the left child
     // lands at parent + 1 by construction, preserving the flat layout
     // the lockstep walk expects. Depth counts emitted edges only,
-    // giving the restricted walk its (much smaller) level bound.
+    // giving the restricted walk its own level bound.
     //
     // The walk is iterative with an explicit right-subtree stack: the
     // source forest is far larger than cache, so the traversal is
@@ -572,9 +528,10 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
         int depth;           ///< Emitted depth of the subtree root.
     };
     std::vector<Deferred> stack;
-    stack.reserve(static_cast<std::size_t>(max_depth) + 1);
-    for (std::size_t t = 0; t < num_roots; ++t) {
-        std::uint32_t cur = src_roots[t];
+    stack.reserve(static_cast<std::size_t>(maxTreeDepth_) + 1);
+    const FlatNode *nodes = flat_.data();
+    for (std::uint32_t root : roots_) {
+        std::uint32_t cur = root;
         std::uint32_t patch = kPatchRoot;
         int depth = 0;
         while (true) {
@@ -616,38 +573,6 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
     }
 }
 
-bool
-RestrictedForest::monotoneNonDecreasingIn(int feature) const
-{
-    QOSERVE_ASSERT(valid(), "monotonicity query on an empty restriction");
-    struct Range
-    {
-        double min, max;
-    };
-    const FlatNode *nodes = flat_.data();
-    bool ok = true;
-    // Leaf-value range per subtree; a kept split on the axis must put
-    // all of its left range at or below all of its right range. Two
-    // queries differing only in x[feature] first diverge at such a
-    // split (x1 <= thr < x2), so the condition pins v(x1) <= v(x2) for
-    // every tree — and therefore every order statistic of the
-    // ensemble, including the interpolated quantile, is
-    // non-decreasing.
-    auto walk = [&](auto &&self, std::uint32_t node) -> Range {
-        const FlatNode &nd = nodes[node];
-        if (nd.feature < 0)
-            return {nd.key, nd.key};
-        Range l = self(self, node + 1);
-        Range r = self(self, nd.right);
-        if (nd.feature == feature && l.max > r.min)
-            ok = false;
-        return {std::min(l.min, r.min), std::max(l.max, r.max)};
-    };
-    for (std::uint32_t root : roots_)
-        walk(walk, root);
-    return ok;
-}
-
 double
 RandomForest::predict(const std::vector<double> &x) const
 {
@@ -672,7 +597,7 @@ RandomForest::predictQuantile(const double *x, int dims, double q) const
     QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
     static thread_local std::vector<double> preds;
     fillTreePreds(x, dims, preds);
-    return quantileOf(preds, q);
+    return quantileOfPreds(preds, q);
 }
 
 double
@@ -714,34 +639,7 @@ RandomForest::predictQuantileTracked(const double *x, int dims, double q,
         for (std::size_t t = 0; t < m; ++t)
             preds[base + t] = nodes[cur[t]].key;
     }
-    return quantileOf(preds, q);
-}
-
-void
-RandomForest::predictQuantileMany(const double *xs, int dims,
-                                  std::size_t count, double q,
-                                  double *out) const
-{
-    QOSERVE_ASSERT(trained(), "predictQuantileMany() before fit()");
-    QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    // Trees outer, queries inner: one streaming pass over the flat
-    // node array serves the whole batch, keeping it hot in cache.
-    static thread_local std::vector<double> preds;
-    preds.resize(count * trees_.size());
-    std::size_t ntrees = trees_.size();
-    for (std::size_t t = 0; t < ntrees; ++t) {
-        std::uint32_t root = roots_[t];
-        for (std::size_t i = 0; i < count; ++i)
-            preds[i * ntrees + t] = evalTree(root, xs + i * dims, dims);
-    }
-    static thread_local std::vector<double> row;
-    row.resize(ntrees);
-    for (std::size_t i = 0; i < count; ++i) {
-        row.assign(preds.begin() + static_cast<std::ptrdiff_t>(i * ntrees),
-                   preds.begin() +
-                       static_cast<std::ptrdiff_t>((i + 1) * ntrees));
-        out[i] = quantileOf(row, q);
-    }
+    return quantileOfPreds(preds, q);
 }
 
 double
@@ -764,7 +662,7 @@ RandomForest::predictQuantileReference(const std::vector<double> &x,
     preds.reserve(trees_.size());
     for (const auto &t : trees_)
         preds.push_back(t.predict(x));
-    return quantileOf(preds, q);
+    return quantileOfPreds(preds, q);
 }
 
 } // namespace qoserve

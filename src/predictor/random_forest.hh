@@ -158,20 +158,20 @@ class RegressionTree
 /**
  * A forest partially evaluated over a subset of its features.
  *
- * Produced by RandomForest::restrictTo(): every split on a *fixed*
- * feature is resolved against the query it was built from, leaving a
- * (much smaller) forest that splits only on the *free* features. For
- * any query whose fixed coordinates stay inside the box reported at
- * construction, evaluating the restricted forest takes the exact
- * same branch sequence as the full forest — predictions are bitwise
- * identical. The chunk-budget solver uses this to turn its repeated
- * per-probe forest walks into walks of a few-KB structure that stays
- * resident in L1.
+ * Produced by RandomForest::restrictToBox(): every split on a *fixed*
+ * feature is resolved against the box it was built from, leaving a
+ * smaller forest that splits only where the box is crossed. For any
+ * query whose fixed coordinates stay inside that box, evaluating the
+ * restricted forest takes the exact same branch sequence as the full
+ * forest — predictions are bitwise identical. The chunk-budget solver
+ * evaluates this plane instead of the full forest; with the default
+ * predictor it keeps about half of the full forest's ~11.5k nodes
+ * (~90 KB, ~11 levels deep).
  */
 class RestrictedForest
 {
   public:
-    /** True once restrictTo() has populated this object. */
+    /** True once restrictToBox() has populated this object. */
     bool valid() const { return !roots_.empty(); }
 
     /** Drop the restriction (valid() becomes false). */
@@ -187,70 +187,42 @@ class RestrictedForest
     double predictQuantile(const double *x, int dims, double q) const;
 
     /**
-     * Quantile prediction that narrows a caller-owned support box.
+     * Leaf value tree @p tree reaches at @p x, narrowing a
+     * caller-initialised @p support to the (lo, hi] box of that one
+     * root-to-leaf path.
      *
-     * Unlike RandomForest::predictQuantileTracked this does NOT reset
-     * @p support: the caller initialises it (reset()) and may issue
-     * several tracked predictions into the same box, obtaining the
-     * intersection of their leaf-stability regions — any query inside
-     * the final box reproduces every one of those predictions bitwise.
-     * The chunk-budget solver uses this to certify whole search
-     * replays, not just single probes.
+     * The value is the one the lockstep walk of predictQuantile()
+     * collects for that tree; any query inside both the final box and
+     * the construction box reaches the same leaf. @p support must
+     * track at least the features this forest tests (reset() it
+     * first).
      */
-    double predictQuantileTracked(const double *x, int dims, double q,
-                                  FeatureSupport &support) const;
+    double leafTracked(std::size_t tree, const double *x,
+                       FeatureSupport &support) const;
 
-    /**
-     * Conservative monotonicity certificate along one feature axis.
-     *
-     * True when every kept split on @p feature has its left subtree's
-     * maximum leaf value at or below its right subtree's minimum — a
-     * sufficient condition for every tree (and hence any quantile of
-     * the ensemble) to be non-decreasing in that feature over the
-     * restriction box. Under the certificate every probe order of a
-     * feasibility search finds the same largest-feasible chunk, so a
-     * reordered search would be provably result-identical to the cold
-     * binary search. Diagnostics only: fitted ensembles rarely pass
-     * (bootstrap noise breaks per-split ordering), so the solver does
-     * not rely on it.
-     */
-    bool monotoneNonDecreasingIn(int feature) const;
+    /** Number of trees (0 when invalid). */
+    std::size_t numTrees() const { return roots_.size(); }
 
     /** Nodes retained by the restriction (diagnostics). */
     std::size_t numNodes() const { return flat_.size(); }
 
-    /**
-     * Restrict further, to a sub-box of this restriction's box.
-     *
-     * Restriction composes: a split resolved by the outer box is also
-     * resolved (identically) by any sub-box, and a split the sub-box
-     * crosses was necessarily kept by the outer box — so the emitted
-     * forest is node-for-node identical to restricting the original
-     * forest with @p lo / @p hi directly. The caller must guarantee
-     * the sub-box relation; this lets a solver cache rebuild its
-     * small working plane from a mid-sized super-plane instead of
-     * walking the full source forest every time.
-     */
-    void restrictToBox(const double *lo, const double *hi, int dims,
-                       RestrictedForest &out,
-                       FeatureSupport &support) const;
-
   private:
     friend class RandomForest;
-
-    static void restrictImpl(const FlatNode *nodes,
-                             const std::uint32_t *roots,
-                             std::size_t num_roots, int max_depth,
-                             int feature_dims, const double *lo,
-                             const double *hi, int dims,
-                             RestrictedForest &out,
-                             FeatureSupport &support);
 
     std::vector<FlatNode> flat_;
     std::vector<std::uint32_t> roots_;
     int maxDepth_ = 0;
     int featureDims_ = 0;
 };
+
+/**
+ * Quantile of per-tree predictions: the kernel every forest quantile
+ * path shares. Reorders @p preds.
+ *
+ * @param preds Per-tree predictions in tree order (non-empty).
+ * @param q Quantile in [0, 1].
+ */
+double quantileOfPreds(std::vector<double> &preds, double q);
 
 /**
  * Bagged ensemble of regression trees.
@@ -301,17 +273,6 @@ class RandomForest
                                   FeatureSupport &support) const;
 
     /**
-     * Evaluate all trees over @p count feature vectors in one pass.
-     *
-     * @param xs Row-major array of @p count × @p dims features.
-     * @param out Receives @p count quantile predictions, each bitwise
-     *        identical to the corresponding predictQuantile() call.
-     */
-    void predictQuantileMany(const double *xs, int dims,
-                             std::size_t count, double q,
-                             double *out) const;
-
-    /**
      * Partially evaluate the forest over an axis-aligned box.
      *
      * Splits the box falls entirely on one side of are resolved away;
@@ -360,7 +321,6 @@ class RandomForest
     double evalTree(std::uint32_t root, const double *x, int dims) const;
     double evalTreeTracked(std::uint32_t root, const double *x, int dims,
                            FeatureSupport &support) const;
-    double quantileOf(std::vector<double> &preds, double q) const;
     void fillTreePreds(const double *x, int dims,
                        std::vector<double> &preds) const;
 

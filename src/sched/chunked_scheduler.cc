@@ -172,7 +172,13 @@ ChunkedScheduler::formBatchInto(Batch &batch, SimTime now)
     batch.clear();
     batch.decodes = decodes_;
 
-    int budget = kvCappedBudget(chunkBudget(now, batch));
+    // With nothing waiting to prefill the budget is never drawn on:
+    // pass 0, the wedge guard and the main walk all need queued
+    // requests. Skipping chunkBudget() spares the predictor's solve
+    // on every decode-only iteration.
+    int budget = prefillQueue_.empty()
+                     ? 0
+                     : kvCappedBudget(chunkBudget(now, batch));
     int decode_slots =
         cfg_.maxDecodeBatch - static_cast<int>(decodes_.size());
 

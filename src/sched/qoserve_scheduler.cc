@@ -73,12 +73,12 @@ void
 QoServeScheduler::onCompositionChange()
 {
     // Intentionally no cache invalidation: the solver cache's plane
-    // and solve records each carry the feature box over which their
+    // and leaf paths each carry the feature box over which their
     // contents are provably bit-identical to a fresh forest
     // evaluation, and reuse is gated on the query lying strictly
     // inside that box. A composition change moves the features; if it
     // moves them outside the box the plane simply rebuilds and the
-    // records go stale via the generation counter. Invalidating here
+    // leaf paths go stale via the generation counter. Invalidating here
     // would be correct but needless — composition changes happen
     // nearly every iteration, while the slack box absorbs most of
     // them.

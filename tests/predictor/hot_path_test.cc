@@ -4,7 +4,7 @@
  *
  * The solver-facing fast paths (flat preorder walk, branchless
  * quantile network, box-tracked prediction, forest restriction and
- * restriction composition) all promise *bitwise* equality with the
+ * per-tree tracked leaf walks) all promise *bitwise* equality with the
  * original recursive walk — not approximate agreement. Every test
  * here asserts exact double equality against an independent
  * reference, over randomised forests, ensemble sizes and queries.
@@ -112,29 +112,6 @@ TEST(HotPath, QuantileMatchesSortedReferenceAcrossEnsembleSizes)
     }
 }
 
-TEST(HotPath, QuantileManyMatchesScalarCalls)
-{
-    auto data = makeData(1500, 13);
-    RandomForest forest;
-    forest.fit(data, ForestParams{}, 17);
-
-    constexpr std::size_t kCount = 64;
-    constexpr int kDims = 4;
-    std::vector<double> xs(kCount * kDims);
-    Rng probe(19);
-    for (double &v : xs)
-        v = probe.uniform(0.0, 10.0);
-
-    std::vector<double> batched(kCount);
-    forest.predictQuantileMany(xs.data(), kDims, kCount, 0.6,
-                               batched.data());
-    for (std::size_t i = 0; i < kCount; ++i) {
-        EXPECT_EQ(batched[i],
-                  forest.predictQuantile(xs.data() + i * kDims, kDims,
-                                         0.6));
-    }
-}
-
 TEST(HotPath, TrackedSupportCertifiesBitwiseReplay)
 {
     auto data = makeData(1500, 23);
@@ -209,56 +186,70 @@ TEST(HotPath, RestrictedForestExactInsideBox)
     }
 }
 
-TEST(HotPath, RestrictionComposesExactly)
+TEST(HotPath, RestrictedLeafPathMatchesLockstepAndCertifiesItsBox)
 {
+    // The chunk solver's leaf-path memo rests on two properties of
+    // RestrictedForest::leafTracked: the leaf it returns is the value
+    // the lockstep walk collects for that tree, and every point
+    // inside its box (and the restriction box) reaches that leaf.
     auto data = makeData(1500, 47);
     RandomForest forest;
     forest.fit(data, ForestParams{}, 53);
 
     Rng probe(59);
+    int certified = 0;
     for (int trial = 0; trial < 25; ++trial) {
-        double outer_lo[4] = {-kInf, -kInf, 0.0, 0.0};
-        double outer_hi[4] = {kInf, kInf, 0.0, 0.0};
+        // The solver's plane shape: axes 0 and 1 free, 2 and 3 boxed.
+        double lo[4] = {-kInf, -kInf, 0.0, 0.0};
+        double hi[4] = {kInf, kInf, 0.0, 0.0};
         for (int f = 2; f < 4; ++f) {
             double c = probe.uniform(2.0, 8.0);
-            outer_lo[f] = c - 2.0;
-            outer_hi[f] = c + 2.0;
+            lo[f] = c - 2.0;
+            hi[f] = c + 2.0;
         }
-        // Strict sub-box of the outer box on the pinned axes.
-        double sub_lo[4], sub_hi[4];
-        for (int f = 0; f < 4; ++f) {
-            sub_lo[f] = outer_lo[f];
-            sub_hi[f] = outer_hi[f];
-        }
-        for (int f = 2; f < 4; ++f) {
-            sub_lo[f] = outer_lo[f] + probe.uniform(0.2, 1.0);
-            sub_hi[f] = outer_hi[f] - probe.uniform(0.2, 1.0);
-        }
+        RestrictedForest plane;
+        FeatureSupport plane_box;
+        forest.restrictToBox(lo, hi, 4, plane, plane_box);
+        ASSERT_EQ(plane.numTrees(), forest.numTrees());
 
-        RestrictedForest outer, composed, direct;
-        FeatureSupport outer_box, composed_box, direct_box;
-        forest.restrictToBox(outer_lo, outer_hi, 4, outer, outer_box);
-        ASSERT_TRUE(outer.valid());
-        outer.restrictToBox(sub_lo, sub_hi, 4, composed, composed_box);
-        forest.restrictToBox(sub_lo, sub_hi, 4, direct, direct_box);
-        ASSERT_TRUE(composed.valid());
-        ASSERT_TRUE(direct.valid());
-
-        // Composition is exact: same node count and bitwise-equal
-        // predictions as restricting the source forest directly.
-        EXPECT_EQ(composed.numNodes(), direct.numNodes());
-        for (int i = 0; i < 20; ++i) {
-            double x[4];
+        for (int i = 0; i < 8; ++i) {
+            std::vector<double> x(4);
             x[0] = probe.uniform(0.0, 10.0);
             x[1] = probe.uniform(0.0, 10.0);
             for (int f = 2; f < 4; ++f)
-                x[f] = sub_lo[f] +
-                       (sub_hi[f] - sub_lo[f]) * probe.uniform(0.05, 1.0);
-            double want = forest.predictQuantile(x, 4, 0.6);
-            EXPECT_EQ(composed.predictQuantile(x, 4, 0.6), want);
-            EXPECT_EQ(direct.predictQuantile(x, 4, 0.6), want);
+                x[f] = lo[f] + (hi[f] - lo[f]) * probe.uniform(0.05, 1.0);
+
+            std::vector<double> leaves(plane.numTrees());
+            for (std::size_t t = 0; t < plane.numTrees(); ++t) {
+                FeatureSupport box;
+                box.reset(4);
+                leaves[t] = plane.leafTracked(t, x.data(), box);
+                EXPECT_EQ(leaves[t], forest.tree(t).predict(x));
+                EXPECT_TRUE(box.contains(x.data(), 4));
+
+                for (int j = 0; j < 4; ++j) {
+                    std::vector<double> y(4);
+                    for (int f = 0; f < 4; ++f) {
+                        double a = std::max({box.lo[f], plane_box.lo[f],
+                                             -50.0});
+                        double b = std::min({box.hi[f], plane_box.hi[f],
+                                             50.0});
+                        y[f] = a + (b - a) * probe.uniform(0.01, 1.0);
+                    }
+                    if (!box.contains(y.data(), 4) ||
+                        !plane_box.contains(y.data(), 4))
+                        continue;
+                    ++certified;
+                    EXPECT_EQ(forest.tree(t).predict(y), leaves[t]);
+                }
+            }
+            // Per-tree leaves fed through the shared quantile kernel
+            // reproduce the lockstep quantile bit for bit.
+            EXPECT_EQ(quantileOfPreds(leaves, 0.6),
+                      plane.predictQuantile(x.data(), 4, 0.6));
         }
     }
+    EXPECT_GT(certified, 1000);
 }
 
 } // namespace

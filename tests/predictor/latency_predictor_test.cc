@@ -211,7 +211,7 @@ TEST_F(PredictorTest, PlaneLookupBitwiseEqualsDirectPredict)
 
 TEST_F(PredictorTest, SolveMemoisedBitwiseEqualUnderDrift)
 {
-    // The solve-level memo under a scheduler-shaped workload: the
+    // The leaf-path memo under a scheduler-shaped workload: the
     // prefill context drifts by exactly the granted chunk, the batch
     // composition changes on admit/finish boundaries, and the budget
     // wobbles with the decode slack. At every step the cached solve
@@ -243,8 +243,60 @@ TEST_F(PredictorTest, SolveMemoisedBitwiseEqualUnderDrift)
     EXPECT_EQ(st.solves, 1500u);
     // Both memo levels must actually fire on this workload — the
     // equality above would pass vacuously if every solve ran cold.
-    EXPECT_GT(st.replayHits, 0u);
     EXPECT_GT(st.hits, 0u);
+    EXPECT_GT(st.leafHits, 0u);
+    EXPECT_GT(st.leafWalks, 0u);
+    EXPECT_EQ(st.replayHits, 0u);
+}
+
+TEST_F(PredictorTest, LeafPathMemoMatchesColdSolveAcrossRebuildsAndSizes)
+{
+    // The leaf-path memo against the uncached search under the
+    // conditions that stress it: composition jumps wider than the
+    // plane's decode slack (every jump rebuilds the plane and must
+    // retire every memoised row), ensembles on both sides of the
+    // quantile kernel's sorting-network limit (65 trees take the
+    // nth_element path), and a 4096-token max chunk (64 units).
+    for (int trees : {7, 65}) {
+        ForestLatencyPredictor::Options opts;
+        opts.forest.numTrees = trees;
+        ForestLatencyPredictor predictor(*model_, opts);
+        for (int max_chunk : {2560, 4096}) {
+            ChunkSolverCache cache;
+            Rng rng(127 + static_cast<std::uint64_t>(trees + max_chunk));
+            double pctx = 0.0;
+            double nd = 24.0;
+            double dctx = 24.0 * 1800.0;
+            int jumps = 0;
+            for (int i = 0; i < 600; ++i) {
+                if (i > 0 && i % 41 == 0) {
+                    // 40 decodes in or out: beyond planeDecodeSlack.
+                    nd = nd > 64.0 ? nd - 40.0 : nd + 40.0;
+                    dctx = nd * rng.uniform(500, 3000);
+                    ++jumps;
+                }
+                if (i % 29 == 0)
+                    pctx = 0.0;
+                BatchFeatures state = features(0, pctx, nd, dctx);
+                double budget = rng.uniform(0.03, 0.15);
+
+                int fresh = solveChunkBudget(predictor, state, budget,
+                                             max_chunk, 64);
+                int cached =
+                    cache.solve(predictor, state, budget, max_chunk, 64);
+                ASSERT_EQ(cached, fresh)
+                    << "trees " << trees << " max_chunk " << max_chunk
+                    << " step " << i;
+
+                pctx += cached;
+                dctx += nd;
+            }
+            const ChunkSolverCache::Stats &st = cache.stats();
+            EXPECT_GT(st.evaluations, static_cast<std::uint64_t>(jumps));
+            EXPECT_GT(st.leafHits, 0u);
+            EXPECT_GT(st.leafWalks, 0u);
+        }
+    }
 }
 
 } // namespace

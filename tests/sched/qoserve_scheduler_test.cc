@@ -367,6 +367,79 @@ TEST_F(QoServeTest, LateDecodesDoNotGateTheChunk)
     EXPECT_EQ(batch.decodes[0], late);
 }
 
+/** Forwards to another predictor, counting every call. */
+class CountingPredictor : public LatencyPredictor
+{
+  public:
+    explicit CountingPredictor(const LatencyPredictor &inner)
+        : inner_(inner)
+    {
+    }
+
+    SimDuration
+    predict(const BatchFeatures &features) const override
+    {
+        ++calls;
+        return inner_.predict(features);
+    }
+
+    SimDuration
+    predictSupported(const BatchFeatures &features,
+                     FeatureSupport &support) const override
+    {
+        ++calls;
+        return inner_.predictSupported(features, support);
+    }
+
+    bool
+    buildChunkPlane(const BatchFeatures &features, ChunkPlane &out,
+                    ChunkPlane *super_scratch) const override
+    {
+        ++calls;
+        return inner_.buildChunkPlane(features, out, super_scratch);
+    }
+
+    mutable int calls = 0;
+
+  private:
+    const LatencyPredictor &inner_;
+};
+
+TEST_F(QoServeTest, DecodeOnlyIterationSkipsTheChunkSolve)
+{
+    // With nothing queued for prefill the chunk budget is never drawn
+    // on, so batch formation must not consult the predictor at all —
+    // even though an interactive decode with positive slack would
+    // otherwise make the solver run.
+    CountingPredictor counting(fx_.oracle);
+    SchedulerEnv env = fx_.env;
+    env.predictor = &counting;
+    QoServeScheduler sched(env);
+
+    Request *inter = fx_.makeRequest(1, SimTime{0.0}, 100, 50, 0);
+    sched.enqueue(inter, SimTime{0.0});
+    SimTime now;
+    runIteration(sched, fx_.perf, now);
+    ASSERT_EQ(inter->phase(), RequestPhase::Decoding);
+    ASSERT_GT(inter->nextTokenDeadline() - now, 0.0);
+
+    counting.calls = 0;
+    Batch decode_only = sched.formBatch(now);
+    EXPECT_EQ(counting.calls, 0);
+    EXPECT_TRUE(decode_only.prefills.empty());
+    ASSERT_EQ(decode_only.decodes.size(), 1u);
+    EXPECT_EQ(decode_only.decodes[0], inter);
+
+    // The same decode with a prefill queued does run the solver —
+    // the zero above is the skip, not a solver that never runs.
+    sched.enqueue(fx_.makeRequest(2, now, 10000, 5, 2), now);
+    Batch mixed = sched.formBatch(now);
+    EXPECT_GT(counting.calls, 0);
+    EXPECT_FALSE(mixed.prefills.empty());
+    ASSERT_EQ(mixed.decodes.size(), 1u);
+    EXPECT_EQ(mixed.decodes[0], inter);
+}
+
 TEST_F(QoServeTest, StatsCountRelegationsAcrossRun)
 {
     QoServeScheduler sched(fx_.env);
