@@ -119,20 +119,6 @@ ChunkSolverCache::invalidate()
     ++stats_.invalidations;
 }
 
-void
-ChunkSolverCache::attributeMiss(const double *x)
-{
-    // Attribute the miss to the first escaped dimension, so the perf
-    // benches can report which feature's drift limits reuse.
-    for (int i = 0; i < plane_.support.dims; ++i) {
-        if (!(plane_.support.lo[i] < x[static_cast<std::size_t>(i)] &&
-              x[static_cast<std::size_t>(i)] <= plane_.support.hi[i])) {
-            ++stats_.dimMisses[i];
-            break;
-        }
-    }
-}
-
 SimDuration
 ChunkSolverCache::lookupOrPredict(const LatencyPredictor &predictor,
                                   BatchFeatures features, int chunk,
@@ -161,7 +147,6 @@ ChunkSolverCache::ensurePlane(const LatencyPredictor &predictor,
     if (plane_.valid()) {
         if (plane_.support.contains(x, BatchFeatures::kCount))
             return true;
-        attributeMiss(x);
     }
     ++stats_.evaluations;
     if (!predictor.buildChunkPlane(features, plane_))
@@ -183,41 +168,77 @@ ChunkSolverCache::shapeRows(int units, int step)
     trees_ = trees;
     rowGeneration_.assign(std::max(rows, rowGeneration_.size()), 0);
     paths_.resize(rowGeneration_.size() * trees);
+    stale_.resize(trees);
     preds_.resize(trees);
 }
 
-SimDuration
-ChunkSolverCache::probe(int unit, double *x)
+bool
+ChunkSolverCache::fits(int unit, double *x, SimDuration budget)
 {
     ++stats_.queries;
     ++stats_.hits;
     x[0] = static_cast<double>(unit * step_);
     LeafPath *row = &paths_[static_cast<std::size_t>(unit) * trees_];
     std::uint64_t &stamp = rowGeneration_[static_cast<std::size_t>(unit)];
-    const bool current = stamp == generation_;
-    stamp = generation_;
+    if (stamp != generation_) {
+        // Walked against an older plane: empty every box first, so an
+        // entry this probe leaves unwalked stays a miss.
+        for (std::size_t t = 0; t < trees_; ++t)
+            row[t].lo[0] = std::numeric_limits<double>::infinity();
+        stamp = generation_;
+    }
+
+    // With the kernel's interpolation g and h(v) = g(v, v) * margin,
+    // monotone rounding gives h(v_lo) <= latency <= h(v_hi) for the
+    // lo-th and hi-th smallest values v_lo, v_hi. Let `below` count
+    // the values with h(v) <= budget: below >= hi + 1 proves
+    // h(v_hi) <= budget (feasible), below <= lo proves
+    // h(v_lo) > budget (infeasible). Unwalked trees may each still
+    // add one to the count.
+    const QuantileRank rank = quantileRank(trees_, plane_.quantile);
+    const double margin = plane_.safetyMargin;
+    auto low = [&](double v) {
+        return rank.interp(v, v) * margin <= budget;
+    };
+    std::size_t below = 0;
+    std::size_t stale = 0;
     for (std::size_t t = 0; t < trees_; ++t) {
-        LeafPath &path = row[t];
-        bool inside = current;
+        const LeafPath &path = row[t];
+        bool inside = true;
         for (int i = 0; i < kPathDims; ++i)
             inside &= path.lo[i] < x[i + 1] && x[i + 1] <= path.hi[i];
-        if (inside) {
-            ++stats_.leafHits;
-        } else {
-            ++stats_.leafWalks;
-            FeatureSupport box;
-            box.reset(BatchFeatures::kCount);
-            path.leaf = plane_.forest.leafTracked(t, x, box);
-            for (int i = 0; i < kPathDims; ++i) {
-                path.lo[i] = box.lo[i + 1];
-                path.hi[i] = box.hi[i + 1];
-            }
-        }
-        preds_[t] = path.leaf;
+        below += inside && low(path.leaf);
+        stale_[stale] = static_cast<std::uint32_t>(t);
+        stale += !inside;
     }
-    // The same kernel and margin as ChunkPlane::predict, over the
-    // same per-tree values in the same order: bitwise identical.
-    return quantileOfPreds(preds_, plane_.quantile) * plane_.safetyMargin;
+    stats_.leafHits += trees_ - stale;
+    for (std::size_t k = 0;; ++k) {
+        const std::size_t unwalked = stale - k;
+        if (below >= rank.hi + 1 || below + unwalked <= rank.lo) {
+            stats_.earlyDecisions += unwalked > 0;
+            return below >= rank.hi + 1;
+        }
+        if (unwalked == 0)
+            break;
+        ++stats_.leafWalks;
+        LeafPath &path = row[stale_[k]];
+        FeatureSupport box;
+        box.reset(BatchFeatures::kCount);
+        path.leaf = plane_.forest.leafTracked(stale_[k], x, box);
+        for (int i = 0; i < kPathDims; ++i) {
+            path.lo[i] = box.lo[i + 1];
+            path.hi[i] = box.hi[i + 1];
+        }
+        below += low(path.leaf);
+    }
+
+    // Every value known and the count still undecided: the same
+    // kernel and margin as ChunkPlane::predict, over the same per-tree
+    // values in the same order, gives the exact latency.
+    ++stats_.fullQuantiles;
+    for (std::size_t t = 0; t < trees_; ++t)
+        preds_[t] = row[t].leaf;
+    return quantileOfPreds(preds_, plane_.quantile) * margin <= budget;
 }
 
 int
@@ -247,7 +268,7 @@ ChunkSolverCache::solve(const LatencyPredictor &predictor,
 
     shapeRows(units, step);
     return step * largestFeasibleUnit(units, [&](int unit) {
-               return probe(unit, x.data()) <= budget;
+               return fits(unit, x.data(), budget);
            });
 }
 

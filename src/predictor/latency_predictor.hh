@@ -69,8 +69,8 @@ class LatencyPredictor
      * Predict and, when possible, report a leaf-stability box.
      *
      * The default forwards to predict() and marks the support invalid
-     * (dims = 0), which disables caching for predictors that cannot
-     * bound the region over which their output is constant.
+     * (dims = 0). The chunk solver does not call this; it stays
+     * because the simulator benchmark's TimedPredictor overrides it.
      */
     virtual SimDuration
     predictSupported(const BatchFeatures &features,
@@ -213,10 +213,13 @@ class ForestLatencyPredictor : public LatencyPredictor
  * same path and reaches the same leaf, so the stored value is reused
  * and only the trees whose box was left are walked again. Each row
  * (unit) carries the plane generation its entries were walked
- * against; a plane rebuild therefore retires every row at once. The
- * per-tree values are combined by the same quantile kernel as
- * ChunkPlane::predict, so every probe latency — and hence every solve
- * — is bitwise identical to the uncached search.
+ * against; a plane rebuild therefore retires every row at once.
+ *
+ * A probe only decides `latency(u) <= budget`: it counts the values
+ * that fit on their own, walks stale trees until that count settles
+ * the answer (see fits()), and runs the full quantile only when it
+ * cannot. Every answer — and hence every solve — is exactly the
+ * uncached search's.
  *
  * No explicit invalidation is required at either level — the box
  * proofs alone guard reuse.
@@ -238,11 +241,10 @@ class ChunkSolverCache
         std::uint64_t invalidations = 0; ///< invalidate() calls.
         std::uint64_t leafHits = 0;  ///< Tree values reused from a path.
         std::uint64_t leafWalks = 0; ///< Tree values walked afresh.
-
-        /** Misses attributed to the first feature dimension whose
-         *  value escaped a valid plane's box (diagnostics: which
-         *  feature's drift limits the hit rate). */
-        std::uint64_t dimMisses[kMaxForestFeatures] = {};
+        /** Probes decided while some tree was still unwalked. */
+        std::uint64_t earlyDecisions = 0;
+        /** Probes that needed the full quantile of every tree. */
+        std::uint64_t fullQuantiles = 0;
     };
 
     /** Drop the cached plane (forces a rebuild on the next query,
@@ -288,8 +290,6 @@ class ChunkSolverCache
         double leaf;
     };
 
-    void attributeMiss(const double *x);
-
     /** Rebuild plane_ for @p x if its box no longer covers it; true
      *  when a valid plane is available afterwards. */
     bool ensurePlane(const LatencyPredictor &predictor,
@@ -299,9 +299,9 @@ class ChunkSolverCache
      *  against the current plane. */
     void shapeRows(int units, int step);
 
-    /** Plane latency at chunk @p unit * step_, features @p x (x[0]
-     *  is overwritten). */
-    SimDuration probe(int unit, double *x);
+    /** True iff the plane latency at chunk @p unit * step_, features
+     *  @p x (x[0] is overwritten), is <= @p budget. */
+    bool fits(int unit, double *x, SimDuration budget);
 
     ChunkPlane plane_;
 
@@ -317,7 +317,10 @@ class ChunkSolverCache
     std::vector<LeafPath> paths_;
     std::vector<std::uint64_t> rowGeneration_;
 
-    /** Per-tree values of the current probe (the quantile kernel
+    /** Trees of the current probe whose path must be walked. */
+    std::vector<std::uint32_t> stale_;
+
+    /** Per-tree values of an undecided probe (the quantile kernel
      *  reorders them, so they cannot alias paths_). */
     std::vector<double> preds_;
 

@@ -304,29 +304,6 @@ RandomForest::evalTree(std::uint32_t root, const double *x,
     return nodes[node].key;
 }
 
-double
-RandomForest::evalTreeTracked(std::uint32_t root, const double *x,
-                              int dims, FeatureSupport &support) const
-{
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    const FlatNode *nodes = flat_.data();
-    std::uint32_t node = root;
-    std::int32_t f;
-    while ((f = nodes[node].feature) >= 0) {
-        double thr = nodes[node].key;
-        if (x[f] <= thr) {
-            if (thr < support.hi[f])
-                support.hi[f] = thr;
-            node = node + 1;
-        } else {
-            if (thr > support.lo[f])
-                support.lo[f] = thr;
-            node = nodes[node].right;
-        }
-    }
-    return nodes[node].key;
-}
-
 namespace {
 
 /** Largest ensemble sorted with the branchless network. */
@@ -406,14 +383,11 @@ lockstepFill(const FlatNode *nodes, const std::uint32_t *roots,
 double
 quantileOfPreds(std::vector<double> &preds, double q)
 {
-    // The interpolation reads only the lo-th and (lo+1)-th smallest
+    // The interpolation reads only the lo-th and hi-th smallest
     // values; any correct sort or selection produces exactly the
     // doubles the original sort-and-interpolate placed there, so both
     // paths below stay bitwise identical to it.
-    double pos = q * (preds.size() - 1);
-    auto lo = static_cast<std::size_t>(pos);
-    auto hi = std::min(lo + 1, preds.size() - 1);
-    double frac = pos - static_cast<double>(lo);
+    const QuantileRank rank = quantileRank(preds.size(), q);
     double v_lo, v_hi;
     if (preds.size() >= 2 && preds.size() <= kMaxNetworkSort) {
         double *v = preds.data();
@@ -422,16 +396,17 @@ quantileOfPreds(std::vector<double> &preds, double q)
             v[a] = std::min(x, y);
             v[b] = std::max(x, y);
         }
-        v_lo = v[lo];
-        v_hi = v[hi];
+        v_lo = v[rank.lo];
+        v_hi = v[rank.hi];
     } else {
-        auto pivot = preds.begin() + static_cast<std::ptrdiff_t>(lo);
+        auto pivot = preds.begin() + static_cast<std::ptrdiff_t>(rank.lo);
         std::nth_element(preds.begin(), pivot, preds.end());
         v_lo = *pivot;
-        v_hi = hi > lo ? *std::min_element(pivot + 1, preds.end())
-                       : v_lo;
+        v_hi = rank.hi > rank.lo
+                   ? *std::min_element(pivot + 1, preds.end())
+                   : v_lo;
     }
-    return v_lo * (1.0 - frac) + v_hi * frac;
+    return rank.interp(v_lo, v_hi);
 }
 
 void

@@ -216,6 +216,35 @@ class RestrictedForest
 };
 
 /**
+ * Where a quantile falls among n sorted values: interp() of the lo-th
+ * and hi-th smallest. The quantile kernel and the chunk solver's
+ * feasibility count share it, so the count's bounds use the exact
+ * arithmetic of the value they bound; both weights are non-negative,
+ * so under monotone IEEE rounding interp() never decreases as either
+ * argument grows.
+ */
+struct QuantileRank
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+
+    double interp(double v_lo, double v_hi) const
+    {
+        return v_lo * (1.0 - frac) + v_hi * frac;
+    }
+};
+
+/** Rank of quantile @p q in [0, 1] over @p n >= 1 values. */
+inline QuantileRank
+quantileRank(std::size_t n, double q)
+{
+    double pos = q * static_cast<double>(n - 1);
+    auto lo = static_cast<std::size_t>(pos);
+    return {lo, lo + 1 < n ? lo + 1 : lo, pos - static_cast<double>(lo)};
+}
+
+/**
  * Quantile of per-tree predictions: the kernel every forest quantile
  * path shares. Reorders @p preds.
  *
@@ -319,8 +348,6 @@ class RandomForest
 
   private:
     double evalTree(std::uint32_t root, const double *x, int dims) const;
-    double evalTreeTracked(std::uint32_t root, const double *x, int dims,
-                           FeatureSupport &support) const;
     void fillTreePreds(const double *x, int dims,
                        std::vector<double> &preds) const;
 

@@ -92,8 +92,12 @@ TEST(SolverMemoE2E, KneeReplicaRecordsIdenticalWithMemoOnAndOff)
 {
     // Just past one replica's knee (the simulator benchmark's
     // knee_single shape, shortened): queues stay deep, so batch
-    // formation solves a chunk almost every iteration.
-    checkMemoInvariance(5.0, 1500, 1, 3);
+    // formation solves a chunk almost every iteration. A stale memo
+    // entry shows only after the plane has been rebuilt under a row
+    // that a probe then decides early, which takes thousands of
+    // requests; a memo that skips retiring such rows first diverges
+    // near record 7,700 of this trace, and 1,500 requests missed it.
+    checkMemoInvariance(5.0, 12000, 1, 3);
 }
 
 TEST(SolverMemoE2E, EightReplicaRecordsIdenticalWithMemoOnAndOff)

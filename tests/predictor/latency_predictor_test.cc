@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace qoserve {
@@ -247,6 +248,10 @@ TEST_F(PredictorTest, SolveMemoisedBitwiseEqualUnderDrift)
     EXPECT_GT(st.leafHits, 0u);
     EXPECT_GT(st.leafWalks, 0u);
     EXPECT_EQ(st.replayHits, 0u);
+    // Both ways a probe is answered must have been taken: the count
+    // deciding with trees unwalked, and the full quantile.
+    EXPECT_GT(st.earlyDecisions, 0u);
+    EXPECT_GT(st.fullQuantiles, 0u);
 }
 
 TEST_F(PredictorTest, LeafPathMemoMatchesColdSolveAcrossRebuildsAndSizes)
@@ -295,6 +300,58 @@ TEST_F(PredictorTest, LeafPathMemoMatchesColdSolveAcrossRebuildsAndSizes)
             EXPECT_GT(st.evaluations, static_cast<std::uint64_t>(jumps));
             EXPECT_GT(st.leafHits, 0u);
             EXPECT_GT(st.leafWalks, 0u);
+            EXPECT_GT(st.earlyDecisions, 0u);
+            EXPECT_GT(st.fullQuantiles, 0u);
+        }
+    }
+}
+
+TEST_F(PredictorTest, EarlyDecisionMatchesColdSolveAtExactTies)
+{
+    // A probe decides `latency <= budget` from a count over per-tree
+    // values before it knows the latency; a boundary error there shows
+    // only when the budget equals a probe's latency exactly, which
+    // continuous random budgets never hit. So every unit's cold
+    // latency, and the adjacent doubles on both sides, serve as the
+    // budget. Tree counts cover a single tree, frac = 0 with an odd
+    // count (q = 0.5 over 7), lo == hi (q = 1), and the nth_element
+    // path (65 trees).
+    constexpr int kMaxChunk = 2560;
+    constexpr int kStep = 64;
+    const BatchFeatures states[] = {
+        features(0, 0, 24, 24 * 1800),
+        features(0, 3000, 80, 80 * 900),
+    };
+    for (int trees : {1, 2, 7, 20, 65}) {
+        for (double q : {0.0, 0.5, 0.6, 1.0}) {
+            ForestLatencyPredictor::Options opts;
+            opts.forest.numTrees = trees;
+            opts.quantile = q;
+            ForestLatencyPredictor predictor(*model_, opts);
+            ChunkSolverCache cache;
+            std::uint64_t solves = 0;
+            for (const BatchFeatures &state : states) {
+                for (int unit = 0; unit <= kMaxChunk / kStep; ++unit) {
+                    BatchFeatures at = state;
+                    at.chunkTokens = unit * kStep;
+                    const SimDuration tie = predictor.predict(at);
+                    const double inf =
+                        std::numeric_limits<double>::infinity();
+                    for (SimDuration budget :
+                         {std::nextafter(tie, -inf), tie,
+                          std::nextafter(tie, inf)}) {
+                        int fresh = solveChunkBudget(
+                            predictor, state, budget, kMaxChunk, kStep);
+                        int cached = cache.solve(predictor, state, budget,
+                                                 kMaxChunk, kStep);
+                        ASSERT_EQ(cached, fresh)
+                            << "trees " << trees << " q " << q
+                            << " unit " << unit << " budget " << budget;
+                        ++solves;
+                    }
+                }
+            }
+            EXPECT_EQ(cache.stats().solves, solves);
         }
     }
 }
