@@ -153,12 +153,13 @@ BM_ChunkBudgetSolve(benchmark::State &state)
 BENCHMARK(BM_ChunkBudgetSolve);
 
 /**
- * Predictor-eval phase through the solver cache's chunk plane — the
- * probe path every QoServe iteration actually takes (contrast with
- * BM_ForestPredict, the uncached full-forest walk).
+ * Per-probe cost of the memoised solve once its leaf paths are warm:
+ * a fixed composition solved at a cycle of budgets, so nearly every
+ * probe is decided from memoised per-tree values (contrast with
+ * BM_ForestPredict, one uncached full-forest walk). Items are probes.
  */
 void
-BM_ForestPredictPlane(benchmark::State &state)
+BM_MemoProbe(benchmark::State &state)
 {
     static PerfModel perf(llama3_8b_a100_tp1());
     static ForestLatencyPredictor forest(perf);
@@ -167,23 +168,22 @@ BM_ForestPredictPlane(benchmark::State &state)
     f.prefillContext = 1024;
     f.numDecodes = 64;
     f.decodeCtxSum = 64 * 2000;
-    int chunk = 64;
+    const double budgets[] = {0.03, 0.05, 0.08, 0.12};
+    std::size_t i = 0;
     for (auto _ : state) {
-        // Cycle the probed chunk like the solver's bisection does;
-        // the composition stays inside the plane box, so every
-        // iteration after the first is a plane hit.
-        chunk = chunk >= 2560 ? 64 : chunk + 64;
         benchmark::DoNotOptimize(
-            cache.lookupOrPredict(forest, f, chunk, 64));
+            cache.solve(forest, f, budgets[i++ % 4], 2560, 64));
     }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(cache.stats().queries));
 }
 
-BENCHMARK(BM_ForestPredictPlane);
+BENCHMARK(BM_MemoProbe);
 
 /**
  * Budget-solve phase with the memoised solver under a drifting
- * prefill context — the per-iteration mix of replay hits and cold
- * plane searches the QoServe scheduler sees, versus
+ * prefill context — the per-iteration mix of reused and freshly
+ * walked leaf paths the QoServe scheduler sees, versus
  * BM_ChunkBudgetSolve's always-cold uncached search.
  */
 void

@@ -89,87 +89,49 @@ largestFeasibleUnit(int units, Feasible &&feasible)
 } // namespace
 
 bool
-ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
+ForestLatencyPredictor::buildChunkPlane(const BatchFeatures & /*features*/,
                                         ChunkPlane &out,
                                         ChunkPlane * /*super_scratch*/) const
 {
-    // chunkTokens and prefillContext stay fully free: the solver
-    // varies the former per probe and the latter drifts by the
-    // granted chunk every iteration. The composition features get a
-    // slack box around their current values so small drifts (decodes
-    // joining/leaving, contexts growing) don't force a rebuild.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double lo[BatchFeatures::kCount] = {
-        -kInf, -kInf, features.numDecodes - options_.planeDecodeSlack,
-        features.decodeCtxSum - options_.planeContextSlack};
-    const double hi[BatchFeatures::kCount] = {
-        kInf, kInf, features.numDecodes + options_.planeDecodeSlack,
-        features.decodeCtxSum + options_.planeContextSlack};
-    forest_.restrictToBox(lo, hi, BatchFeatures::kCount, out.forest,
-                          out.support);
+    out.forest = &forest_;
     out.quantile = options_.quantile;
     out.safetyMargin = options_.safetyMargin;
     return true;
 }
 
 void
-ChunkSolverCache::invalidate()
+ChunkSolverCache::bind(const LatencyPredictor &predictor,
+                       const BatchFeatures &features)
 {
-    plane_.forest.clear();
-    ++stats_.invalidations;
-}
-
-SimDuration
-ChunkSolverCache::lookupOrPredict(const LatencyPredictor &predictor,
-                                  BatchFeatures features, int chunk,
-                                  int step)
-{
-    QOSERVE_ASSERT(chunk >= 0 && step > 0, "bad cache key");
-    features.chunkTokens = static_cast<double>(chunk);
-    auto x = features.toArray();
-
-    ++stats_.queries;
-    if (plane_.valid() &&
-        plane_.support.contains(x.data(), BatchFeatures::kCount)) {
-        ++stats_.hits;
-        return plane_.predict(x.data(), BatchFeatures::kCount);
-    }
-    if (ensurePlane(predictor, features, x.data()))
-        return plane_.predict(x.data(), BatchFeatures::kCount);
-    return predictor.predict(features);
-}
-
-bool
-ChunkSolverCache::ensurePlane(const LatencyPredictor &predictor,
-                              const BatchFeatures &features,
-                              const double *x)
-{
-    if (plane_.valid()) {
-        if (plane_.support.contains(x, BatchFeatures::kCount))
-            return true;
-    }
     ++stats_.evaluations;
+    bound_ = &predictor;
+    plane_ = ChunkPlane{};
     if (!predictor.buildChunkPlane(features, plane_))
-        return false;
-    ++generation_;
-    return true;
+        plane_.forest = nullptr;
+    if (plane_.valid())
+        rank_ = quantileRank(plane_.forest->numTrees(), plane_.quantile);
+    step_ = 0; // the next shapeRows() resets every row
 }
 
 void
 ChunkSolverCache::shapeRows(int units, int step)
 {
     auto rows = static_cast<std::size_t>(units) + 1;
-    std::size_t trees = plane_.forest.numTrees();
-    if (step == step_ && trees == trees_ && rows <= rowGeneration_.size())
-        return;
-    // A new step or tree count changes what every entry means, so all
-    // rows restart stale (stamp 0 precedes the first plane).
-    step_ = step;
-    trees_ = trees;
-    rowGeneration_.assign(std::max(rows, rowGeneration_.size()), 0);
-    paths_.resize(rowGeneration_.size() * trees);
-    stale_.resize(trees);
-    preds_.resize(trees);
+    std::size_t trees = plane_.forest->numTrees();
+    if (step != step_ || trees != trees_) {
+        // A new step, tree count or forest changes what every entry
+        // means, so all rows restart empty.
+        step_ = step;
+        trees_ = trees;
+        paths_.clear();
+        stale_.resize(trees);
+        preds_.resize(trees);
+    }
+    // New rows get +inf in every field: lo = +inf fails each
+    // containment test.
+    const std::size_t size = rows * kRowFields * trees_;
+    if (size > paths_.size())
+        paths_.resize(size, std::numeric_limits<double>::infinity());
 }
 
 bool
@@ -178,15 +140,17 @@ ChunkSolverCache::fits(int unit, double *x, SimDuration budget)
     ++stats_.queries;
     ++stats_.hits;
     x[0] = static_cast<double>(unit * step_);
-    LeafPath *row = &paths_[static_cast<std::size_t>(unit) * trees_];
-    std::uint64_t &stamp = rowGeneration_[static_cast<std::size_t>(unit)];
-    if (stamp != generation_) {
-        // Walked against an older plane: empty every box first, so an
-        // entry this probe leaves unwalked stays a miss.
-        for (std::size_t t = 0; t < trees_; ++t)
-            row[t].lo[0] = std::numeric_limits<double>::infinity();
-        stamp = generation_;
-    }
+    const std::size_t n = trees_;
+    double *row = &paths_[static_cast<std::size_t>(unit) * kRowFields * n];
+    const double *lo0 = row + (kLoField + 0) * n;
+    const double *lo1 = row + (kLoField + 1) * n;
+    const double *lo2 = row + (kLoField + 2) * n;
+    const double *hi0 = row + (kHiField + 0) * n;
+    const double *hi1 = row + (kHiField + 1) * n;
+    const double *hi2 = row + (kHiField + 2) * n;
+    double *h = row + kHField * n;
+    double *leaf = row + kLeafField * n;
+    static_assert(kPathDims == 3, "the validity pass names each axis");
 
     // With the kernel's interpolation g and h(v) = g(v, v) * margin,
     // monotone rounding gives h(v_lo) <= latency <= h(v_hi) for the
@@ -195,50 +159,48 @@ ChunkSolverCache::fits(int unit, double *x, SimDuration budget)
     // h(v_hi) <= budget (feasible), below <= lo proves
     // h(v_lo) > budget (infeasible). Unwalked trees may each still
     // add one to the count.
-    const QuantileRank rank = quantileRank(trees_, plane_.quantile);
-    const double margin = plane_.safetyMargin;
-    auto low = [&](double v) {
-        return rank.interp(v, v) * margin <= budget;
-    };
+    const double x1 = x[1], x2 = x[2], x3 = x[3];
     std::size_t below = 0;
     std::size_t stale = 0;
-    for (std::size_t t = 0; t < trees_; ++t) {
-        const LeafPath &path = row[t];
-        bool inside = true;
-        for (int i = 0; i < kPathDims; ++i)
-            inside &= path.lo[i] < x[i + 1] && x[i + 1] <= path.hi[i];
-        below += inside && low(path.leaf);
+    for (std::size_t t = 0; t < n; ++t) {
+        const bool inside = (lo0[t] < x1) & (x1 <= hi0[t]) &
+                            (lo1[t] < x2) & (x2 <= hi1[t]) &
+                            (lo2[t] < x3) & (x3 <= hi2[t]);
+        below += inside & (h[t] <= budget);
         stale_[stale] = static_cast<std::uint32_t>(t);
         stale += !inside;
     }
-    stats_.leafHits += trees_ - stale;
+    stats_.leafHits += n - stale;
     for (std::size_t k = 0;; ++k) {
         const std::size_t unwalked = stale - k;
-        if (below >= rank.hi + 1 || below + unwalked <= rank.lo) {
+        if (below >= rank_.hi + 1 || below + unwalked <= rank_.lo) {
             stats_.earlyDecisions += unwalked > 0;
-            return below >= rank.hi + 1;
+            return below >= rank_.hi + 1;
         }
         if (unwalked == 0)
             break;
         ++stats_.leafWalks;
-        LeafPath &path = row[stale_[k]];
+        const std::size_t t = stale_[k];
         FeatureSupport box;
         box.reset(BatchFeatures::kCount);
-        path.leaf = plane_.forest.leafTracked(stale_[k], x, box);
-        for (int i = 0; i < kPathDims; ++i) {
-            path.lo[i] = box.lo[i + 1];
-            path.hi[i] = box.hi[i + 1];
+        const double v = plane_.forest->leafTracked(t, x, box);
+        for (std::size_t i = 0; i < kPathDims; ++i) {
+            row[(kLoField + i) * n + t] = box.lo[i + 1];
+            row[(kHiField + i) * n + t] = box.hi[i + 1];
         }
-        below += low(path.leaf);
+        h[t] = rank_.interp(v, v) * plane_.safetyMargin;
+        leaf[t] = v;
+        below += h[t] <= budget;
     }
 
-    // Every value known and the count still undecided: the same
-    // kernel and margin as ChunkPlane::predict, over the same per-tree
-    // values in the same order, gives the exact latency.
+    // Every value known and the count still undecided: the quantile
+    // kernel and margin of ForestLatencyPredictor::predict, over the
+    // same per-tree values in the same order, give the exact latency.
     ++stats_.fullQuantiles;
-    for (std::size_t t = 0; t < trees_; ++t)
-        preds_[t] = row[t].leaf;
-    return quantileOfPreds(preds_, plane_.quantile) * margin <= budget;
+    std::copy(leaf, leaf + n, preds_.begin());
+    return quantileOfPreds(preds_, plane_.quantile) *
+               plane_.safetyMargin <=
+           budget;
 }
 
 int
@@ -248,16 +210,12 @@ ChunkSolverCache::solve(const LatencyPredictor &predictor,
 {
     ++stats_.solves;
     const int units = max_chunk / step;
+    if (bound_ != &predictor)
+        bind(predictor, decode_state);
 
-    BatchFeatures features = decode_state;
-    // The chunk axis is free in the plane's box, so any value
-    // validates the composition check below.
-    features.chunkTokens = 0.0;
-    auto x = features.toArray();
-
-    if (!ensurePlane(predictor, features, x.data())) {
-        // Predictor cannot partially evaluate: plain cold search with
-        // per-probe predictions.
+    if (!plane_.valid()) {
+        // No forest to walk: plain cold search with per-probe
+        // predictions.
         return step * largestFeasibleUnit(units, [&](int unit) {
                    BatchFeatures f = decode_state;
                    f.chunkTokens = static_cast<double>(unit * step);
@@ -267,6 +225,7 @@ ChunkSolverCache::solve(const LatencyPredictor &predictor,
     }
 
     shapeRows(units, step);
+    auto x = decode_state.toArray();
     return step * largestFeasibleUnit(units, [&](int unit) {
                return fits(unit, x.data(), budget);
            });

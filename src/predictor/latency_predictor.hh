@@ -23,35 +23,19 @@
 namespace qoserve {
 
 /**
- * A predictor partially evaluated over the (chunkTokens,
- * prefillContext) plane.
- *
- * The chunk-budget solver probes many chunk sizes per iteration, and
- * the prefill head's context drifts by exactly the granted chunk
- * every iteration — but the rest of the batch composition (decode
- * count, decode context sum) changes slowly. Fixing the slow features
- * and leaving the per-probe ones free yields a tiny restricted forest
- * whose predictions are bitwise identical to the full predictor's for
- * as long as the fixed features stay inside @ref support.
+ * The forest the chunk solver's leaf-path memo walks: a view of the
+ * predictor's own flattened forest (no copy) plus the quantile and
+ * margin that turn its per-tree values into a latency. A
+ * ChunkSolverCache fills one on its first solve and keeps it until it
+ * is handed a different predictor.
  */
 struct ChunkPlane
 {
-    RestrictedForest forest;
-
-    /** Box over the fixed features; free axes are unbounded, so one
-     *  contains() on the full feature vector validates reuse. */
-    FeatureSupport support;
-
+    const RandomForest *forest = nullptr;
     double quantile = 0.5;
     double safetyMargin = 1.0;
 
-    bool valid() const { return forest.valid(); }
-
-    /** Predicted latency at @p x (flattened BatchFeatures). */
-    SimDuration predict(const double *x, int dims) const
-    {
-        return forest.predictQuantile(x, dims, quantile) * safetyMargin;
-    }
+    bool valid() const { return forest != nullptr; }
 };
 
 /**
@@ -81,14 +65,14 @@ class LatencyPredictor
     }
 
     /**
-     * Partially evaluate over the (chunkTokens, prefillContext) plane
-     * at @p features' remaining coordinates.
+     * Bind @p out to the forest behind this predictor, for the chunk
+     * solver's leaf-path memo to walk.
      *
-     * Returns false (the default) when the predictor cannot partially
-     * evaluate; the solver then falls back to per-probe predict().
-     *
-     * @p super_scratch is unused (the solver passes null); decorators
-     * simply forward it.
+     * Returns false (the default) when the predictor has no forest;
+     * the solver then falls back to per-probe predict(). @p features
+     * is the batch composition at bind time and @p super_scratch is
+     * unused (the solver passes null); the forest predictor ignores
+     * both, and decorators simply forward them.
      */
     virtual bool buildChunkPlane(const BatchFeatures &features,
                                  ChunkPlane &out,
@@ -151,19 +135,6 @@ class ForestLatencyPredictor : public LatencyPredictor
          * every value; 1 trains serially.
          */
         int trainJobs = 0;
-
-        /**
-         * Half-width of the chunk plane's validity box on the decode
-         * batch-size axis. Pure performance knob: splits inside the
-         * box are kept and re-evaluated per query, so predictions are
-         * identical for every value — wider boxes mean rarer plane
-         * rebuilds but a larger restricted forest.
-         */
-        double planeDecodeSlack = 16.0;
-
-        /** Half-width of the validity box on the decode context-sum
-         *  axis (same trade-off as planeDecodeSlack). */
-        double planeContextSlack = 32768.0;
     };
 
     /** Train on profiles of @p model with default options. */
@@ -177,8 +148,8 @@ class ForestLatencyPredictor : public LatencyPredictor
     SimDuration predictSupported(const BatchFeatures &features,
                                  FeatureSupport &support) const override;
 
-    /** Builds the plane from the full forest; @p super_scratch is
-     *  ignored. */
+    /** Binds @p out to forest() with the configured quantile and
+     *  margin; @p features and @p super_scratch are ignored. */
     bool buildChunkPlane(const BatchFeatures &features, ChunkPlane &out,
                          ChunkPlane *super_scratch = nullptr)
         const override;
@@ -195,34 +166,30 @@ class ForestLatencyPredictor : public LatencyPredictor
 };
 
 /**
- * Memoises the chunk-budget search at two levels.
+ * Memoises the chunk-budget search's per-tree leaf values.
  *
- * Plane level: holds one ChunkPlane — the predictor partially
- * evaluated over the (chunkTokens, prefillContext) axes the solver
- * actually varies. The plane is reused iff the remaining composition
- * features (decode batch size, context sum) still fall inside its
- * box, which makes every plane answer provably bitwise identical to
- * a fresh forest evaluation. Chunk probes and the head prefill's
- * context drift never force a rebuild, only genuine composition
- * changes do.
+ * The first solve binds the cache to the predictor's own flattened
+ * forest through LatencyPredictor::buildChunkPlane(); it rebinds only
+ * when it is handed a different predictor object, and a predictor
+ * without a forest is searched with plain per-probe predict() calls.
+ * The cache keeps the predictor's address and forest, so it must not
+ * outlive any predictor it has been handed.
  *
- * Leaf level: one entry per (chunk unit u = chunk / step, plane tree
- * t) remembers the leaf tree t reached at chunk u and the (lo, hi]
- * box of that root-to-leaf path over the three non-chunk features.
- * A later probe at unit u whose features lie inside the box takes the
- * same path and reaches the same leaf, so the stored value is reused
- * and only the trees whose box was left are walked again. Each row
- * (unit) carries the plane generation its entries were walked
- * against; a plane rebuild therefore retires every row at once.
+ * One entry per (chunk unit u = chunk / step, tree t) remembers the
+ * leaf tree t reached at chunk u and the (lo, hi] box of that
+ * root-to-leaf path over the three non-chunk features. A later probe
+ * at unit u whose features lie inside the box takes the same path
+ * and reaches the same leaf, so the stored value is reused and only
+ * the trees whose box was left are walked again. The box comes from
+ * the full forest, so it is exact whatever the batch composition:
+ * entries are never retired, only reset when the step, the tree
+ * count or the bound predictor changes.
  *
  * A probe only decides `latency(u) <= budget`: it counts the values
  * that fit on their own, walks stale trees until that count settles
  * the answer (see fits()), and runs the full quantile only when it
  * cannot. Every answer — and hence every solve — is exactly the
  * uncached search's.
- *
- * No explicit invalidation is required at either level — the box
- * proofs alone guard reuse.
  */
 class ChunkSolverCache
 {
@@ -236,9 +203,11 @@ class ChunkSolverCache
          *  reports it). */
         std::uint64_t replayHits = 0;
         std::uint64_t queries = 0;     ///< Individual probe lookups.
-        std::uint64_t hits = 0;        ///< Probes served by the plane.
-        std::uint64_t evaluations = 0; ///< Plane rebuilds + fallbacks.
-        std::uint64_t invalidations = 0; ///< invalidate() calls.
+        std::uint64_t hits = 0;        ///< Probes served by the memo.
+        std::uint64_t evaluations = 0; ///< Predictor binds.
+        /** Always 0: nothing invalidates the cache (kept, like
+         *  replayHits, for the simulator benchmark). */
+        std::uint64_t invalidations = 0;
         std::uint64_t leafHits = 0;  ///< Tree values reused from a path.
         std::uint64_t leafWalks = 0; ///< Tree values walked afresh.
         /** Probes decided while some tree was still unwalked. */
@@ -246,19 +215,6 @@ class ChunkSolverCache
         /** Probes that needed the full quantile of every tree. */
         std::uint64_t fullQuantiles = 0;
     };
-
-    /** Drop the cached plane (forces a rebuild on the next query,
-     *  which retires every leaf path with it). */
-    void invalidate();
-
-    /**
-     * Latency for @p chunk from the cached plane, or from a freshly
-     * rebuilt plane (or plain predict() for predictors that cannot
-     * partially evaluate) when the composition escaped the box.
-     */
-    SimDuration lookupOrPredict(const LatencyPredictor &predictor,
-                                BatchFeatures features, int chunk,
-                                int step);
 
     /**
      * Largest feasible chunk for @p budget — the memoised equivalent
@@ -281,41 +237,47 @@ class ChunkSolverCache
      *  the row fixes. */
     static constexpr int kPathDims = BatchFeatures::kCount - 1;
 
-    /** Memoised root-to-leaf path of one plane tree at one unit. */
-    struct LeafPath
-    {
-        /** (lo, hi] per feature 1..kCount-1 of the flattened query. */
-        double lo[kPathDims];
-        double hi[kPathDims];
-        double leaf;
-    };
+    /**
+     * Arrays per row, each one double per tree (field-major, so the
+     * validity pass streams every array once): lo per path feature,
+     * then hi per path feature, then h(leaf) — the leaf value through
+     * the quantile interpolation and margin, see fits() — then the
+     * leaf value itself.
+     */
+    static constexpr std::size_t kLoField = 0;
+    static constexpr std::size_t kHiField = kPathDims;
+    static constexpr std::size_t kHField = 2 * kPathDims;
+    static constexpr std::size_t kLeafField = kHField + 1;
+    static constexpr std::size_t kRowFields = kLeafField + 1;
 
-    /** Rebuild plane_ for @p x if its box no longer covers it; true
-     *  when a valid plane is available afterwards. */
-    bool ensurePlane(const LatencyPredictor &predictor,
-                     const BatchFeatures &features, const double *x);
+    /** Bind plane_ to @p predictor's forest and reset every row. */
+    void bind(const LatencyPredictor &predictor,
+              const BatchFeatures &features);
 
-    /** Size the leaf-path rows for units 0..@p units of @p step
-     *  against the current plane. */
+    /** Size the rows for units 0..@p units of @p step; rows created
+     *  here, or all rows when the step or tree count changed, start
+     *  empty. */
     void shapeRows(int units, int step);
 
-    /** True iff the plane latency at chunk @p unit * step_, features
-     *  @p x (x[0] is overwritten), is <= @p budget. */
+    /** True iff the latency at chunk @p unit * step_, features @p x
+     *  (x[0] is overwritten), is <= @p budget. */
     bool fits(int unit, double *x, SimDuration budget);
 
+    /** Predictor plane_ was bound from (null before the first solve). */
+    const LatencyPredictor *bound_ = nullptr;
     ChunkPlane plane_;
 
-    /** Bumped on every plane_ rebuild; a row is current only while
-     *  its stamp equals it. */
-    std::uint64_t generation_ = 0;
+    /** Rank of plane_.quantile over the forest's trees. */
+    QuantileRank rank_{0, 0, 0.0};
 
-    /** Chunk step and plane tree count the rows were shaped for. */
+    /** Chunk step and tree count the rows were shaped for (step 0:
+     *  unshaped). */
     int step_ = 0;
     std::size_t trees_ = 0;
 
-    /** Row u holds entries [u * trees_, (u + 1) * trees_). */
-    std::vector<LeafPath> paths_;
-    std::vector<std::uint64_t> rowGeneration_;
+    /** Row u holds kRowFields arrays of trees_ doubles, starting at
+     *  u * kRowFields * trees_. An empty entry has lo = +inf. */
+    std::vector<double> paths_;
 
     /** Trees of the current probe whose path must be walked. */
     std::vector<std::uint32_t> stale_;

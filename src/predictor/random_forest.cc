@@ -97,14 +97,20 @@ RegressionTree::build(const std::vector<TrainSample> &samples,
         // search against prefix sums of (y, y²) — O((n + C) log n)
         // per feature instead of rescanning all n samples for each
         // of the C candidates. The RNG draw sequence is unchanged.
-        scratch.order.assign(idx.begin() + lo, idx.begin() + hi);
-        std::sort(scratch.order.begin(), scratch.order.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                      return samples[a].x[f] < samples[b].x[f];
+        // Sorting (value, index) pairs on the value alone makes
+        // std::sort see the same comparison outcomes it would
+        // sorting indices through samples[i].x[f], so the permutation
+        // is identical without a double indirection per comparison.
+        scratch.keyed.clear();
+        for (int i = lo; i < hi; ++i)
+            scratch.keyed.emplace_back(samples[idx[i]].x[f], idx[i]);
+        std::sort(scratch.keyed.begin(), scratch.keyed.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
                   });
 
-        double fmin = samples[scratch.order.front()].x[f];
-        double fmax = samples[scratch.order.back()].x[f];
+        double fmin = scratch.keyed.front().first;
+        double fmax = scratch.keyed.back().first;
         if (fmin >= fmax)
             continue;
 
@@ -114,10 +120,11 @@ RegressionTree::build(const std::vector<TrainSample> &samples,
         scratch.prefY[0] = 0.0;
         scratch.prefY2[0] = 0.0;
         for (int i = 0; i < n; ++i) {
-            const TrainSample &s = samples[scratch.order[i]];
-            scratch.values[i] = s.x[f];
-            scratch.prefY[i + 1] = scratch.prefY[i] + s.y;
-            scratch.prefY2[i + 1] = scratch.prefY2[i] + s.y * s.y;
+            const auto [value, j] = scratch.keyed[i];
+            const double y = samples[j].y;
+            scratch.values[i] = value;
+            scratch.prefY[i + 1] = scratch.prefY[i] + y;
+            scratch.prefY2[i + 1] = scratch.prefY2[i] + y * y;
         }
         double total_y = scratch.prefY[n];
         double total_y2 = scratch.prefY2[n];
@@ -344,13 +351,12 @@ sortNetwork(std::size_t n)
 }
 
 /**
- * Lockstep walk shared by the full and restricted forests: each
- * tree's node chain is serially dependent, but steps of *different*
- * trees are independent, so advancing every tree one level per pass
- * keeps many node fetches in flight instead of draining one 12-deep
- * chain at a time. Leaves self-loop (their feature is negative) until
- * the deepest tree finishes; all selects compile to conditional
- * moves.
+ * Lockstep walk over a flattened forest: each tree's node chain is
+ * serially dependent, but steps of *different* trees are independent,
+ * so advancing every tree one level per pass keeps many node fetches
+ * in flight instead of draining one 12-deep chain at a time. Leaves
+ * self-loop (their feature is negative) until the deepest tree
+ * finishes; all selects compile to conditional moves.
  */
 void
 lockstepFill(const FlatNode *nodes, const std::uint32_t *roots,
@@ -409,34 +415,13 @@ quantileOfPreds(std::vector<double> &preds, double q)
     return rank.interp(v_lo, v_hi);
 }
 
-void
-RestrictedForest::clear()
-{
-    flat_.clear();
-    roots_.clear();
-    maxDepth_ = 0;
-    featureDims_ = 0;
-}
-
 double
-RestrictedForest::predictQuantile(const double *x, int dims,
-                                  double q) const
-{
-    QOSERVE_ASSERT(valid(), "predictQuantile() on an empty restriction");
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    static thread_local std::vector<double> preds;
-    preds.resize(roots_.size());
-    lockstepFill(flat_.data(), roots_.data(), roots_.size(), maxDepth_,
-                 x, preds.data());
-    return quantileOfPreds(preds, q);
-}
-
-double
-RestrictedForest::leafTracked(std::size_t tree, const double *x,
-                              FeatureSupport &support) const
+RandomForest::leafTracked(std::size_t tree, const double *x,
+                          FeatureSupport &support) const
 {
     QOSERVE_ASSERT(tree < roots_.size(), "tree ", tree, " out of range");
+    QOSERVE_ASSERT(support.dims >= featureDims_,
+                   "support tracks too few features");
     const FlatNode *nodes = flat_.data();
     std::uint32_t node = roots_[tree];
     std::int32_t f;
@@ -461,91 +446,6 @@ RandomForest::fillTreePreds(const double *x, int dims,
     preds.resize(roots_.size());
     lockstepFill(flat_.data(), roots_.data(), roots_.size(),
                  maxTreeDepth_, x, preds.data());
-}
-
-void
-RandomForest::restrictToBox(const double *lo, const double *hi, int dims,
-                            RestrictedForest &out,
-                            FeatureSupport &support) const
-{
-    QOSERVE_ASSERT(trained(), "restrictToBox() before fit()");
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    support.reset(dims);
-    for (int i = 0; i < dims; ++i) {
-        QOSERVE_ASSERT(lo[i] < hi[i], "empty restriction box on axis ",
-                       i);
-        support.lo[i] = lo[i];
-        support.hi[i] = hi[i];
-    }
-    out.clear();
-    out.featureDims_ = featureDims_;
-    out.roots_.reserve(roots_.size());
-
-    // Preorder re-emission. A split with the whole box on one side is
-    // resolved: every in-box query (lo < x <= hi) takes that branch,
-    // since hi <= thr forces x <= thr and lo >= thr forces x > thr.
-    // Box-crossing splits are kept with both subtrees; the left child
-    // lands at parent + 1 by construction, preserving the flat layout
-    // the lockstep walk expects. Depth counts emitted edges only,
-    // giving the restricted walk its own level bound.
-    //
-    // The walk is iterative with an explicit right-subtree stack: the
-    // source forest is far larger than cache, so the traversal is
-    // bound by serial node-fetch latency. Prefetching each deferred
-    // right subtree when it is pushed overlaps its miss with the
-    // entire emission of the left subtree.
-    constexpr std::uint32_t kPatchNone = 0xffffffffu;
-    constexpr std::uint32_t kPatchRoot = 0xfffffffeu;
-    struct Deferred
-    {
-        std::uint32_t src;   ///< Source index of the right subtree.
-        std::uint32_t patch; ///< Emitted parent awaiting its .right.
-        int depth;           ///< Emitted depth of the subtree root.
-    };
-    std::vector<Deferred> stack;
-    stack.reserve(static_cast<std::size_t>(maxTreeDepth_) + 1);
-    const FlatNode *nodes = flat_.data();
-    for (std::uint32_t root : roots_) {
-        std::uint32_t cur = root;
-        std::uint32_t patch = kPatchRoot;
-        int depth = 0;
-        while (true) {
-            const FlatNode &nd = nodes[cur];
-            std::int32_t f = nd.feature;
-            if (f >= 0) {
-                if (hi[f] <= nd.key) {
-                    cur = cur + 1;
-                    continue;
-                }
-                if (lo[f] >= nd.key) {
-                    cur = nd.right;
-                    continue;
-                }
-            }
-            auto idx = static_cast<std::uint32_t>(out.flat_.size());
-            out.flat_.push_back(nd);
-            if (patch == kPatchRoot)
-                out.roots_.push_back(idx);
-            else if (patch != kPatchNone)
-                out.flat_[patch].right = idx;
-            patch = kPatchNone;
-            if (f >= 0) {
-                __builtin_prefetch(&nodes[nd.right]);
-                stack.push_back({nd.right, idx, depth + 1});
-                cur = cur + 1;
-                ++depth;
-                continue;
-            }
-            out.maxDepth_ = std::max(out.maxDepth_, depth);
-            if (stack.empty())
-                break;
-            Deferred top = stack.back();
-            stack.pop_back();
-            cur = top.src;
-            patch = top.patch;
-            depth = top.depth;
-        }
-    }
 }
 
 double

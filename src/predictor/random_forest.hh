@@ -16,6 +16,7 @@
 #define QOSERVE_PREDICTOR_RANDOM_FOREST_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "simcore/rng.hh"
@@ -141,7 +142,8 @@ class RegressionTree
     /** Reusable per-node buffers for the split scan. */
     struct SplitScratch
     {
-        std::vector<std::uint32_t> order; ///< Indices sorted by feature.
+        /** (feature value, sample index), sorted by value. */
+        std::vector<std::pair<double, std::uint32_t>> keyed;
         std::vector<double> values;       ///< Feature values, sorted.
         std::vector<double> prefY;        ///< Prefix sums of y.
         std::vector<double> prefY2;       ///< Prefix sums of y².
@@ -153,66 +155,6 @@ class RegressionTree
               SplitScratch &scratch);
 
     std::vector<Node> nodes_;
-};
-
-/**
- * A forest partially evaluated over a subset of its features.
- *
- * Produced by RandomForest::restrictToBox(): every split on a *fixed*
- * feature is resolved against the box it was built from, leaving a
- * smaller forest that splits only where the box is crossed. For any
- * query whose fixed coordinates stay inside that box, evaluating the
- * restricted forest takes the exact same branch sequence as the full
- * forest — predictions are bitwise identical. The chunk-budget solver
- * evaluates this plane instead of the full forest; with the default
- * predictor it keeps about half of the full forest's ~11.5k nodes
- * (~90 KB, ~11 levels deep).
- */
-class RestrictedForest
-{
-  public:
-    /** True once restrictToBox() has populated this object. */
-    bool valid() const { return !roots_.empty(); }
-
-    /** Drop the restriction (valid() becomes false). */
-    void clear();
-
-    /**
-     * Quantile of the per-tree predictions.
-     *
-     * Only the free features of @p x are read; bitwise identical to
-     * RandomForest::predictQuantile on the full forest whenever the
-     * fixed coordinates lie inside the construction box.
-     */
-    double predictQuantile(const double *x, int dims, double q) const;
-
-    /**
-     * Leaf value tree @p tree reaches at @p x, narrowing a
-     * caller-initialised @p support to the (lo, hi] box of that one
-     * root-to-leaf path.
-     *
-     * The value is the one the lockstep walk of predictQuantile()
-     * collects for that tree; any query inside both the final box and
-     * the construction box reaches the same leaf. @p support must
-     * track at least the features this forest tests (reset() it
-     * first).
-     */
-    double leafTracked(std::size_t tree, const double *x,
-                       FeatureSupport &support) const;
-
-    /** Number of trees (0 when invalid). */
-    std::size_t numTrees() const { return roots_.size(); }
-
-    /** Nodes retained by the restriction (diagnostics). */
-    std::size_t numNodes() const { return flat_.size(); }
-
-  private:
-    friend class RandomForest;
-
-    std::vector<FlatNode> flat_;
-    std::vector<std::uint32_t> roots_;
-    int maxDepth_ = 0;
-    int featureDims_ = 0;
 };
 
 /**
@@ -302,23 +244,16 @@ class RandomForest
                                   FeatureSupport &support) const;
 
     /**
-     * Partially evaluate the forest over an axis-aligned box.
+     * Leaf value tree @p tree reaches at @p x, narrowing a
+     * caller-initialised @p support to the (lo, hi] box of that one
+     * root-to-leaf path.
      *
-     * Splits the box falls entirely on one side of are resolved away;
-     * splits that cut through it are kept and re-evaluated against
-     * the actual query at prediction time. The result is exact: for
-     * any query x with lo[i] < x[i] <= hi[i] on every axis, the
-     * restricted forest's prediction is bitwise identical to the full
-     * forest's — resolved splits decide identically for every point
-     * of the box, and kept splits are decided per query. @p support
-     * is set to the box itself, so a contains() test validates reuse.
-     *
-     * Unbounded axes (lo = -inf, hi = +inf) are fully free; narrow
-     * axes shrink the emitted forest at the cost of more frequent
-     * rebuilds when queries drift out of the box.
+     * The value is the one the lockstep walk of predictQuantile()
+     * collects for that tree, and any query inside the final box
+     * takes the same path to the same leaf. @p support must track at
+     * least the features this forest tests (reset() it first).
      */
-    void restrictToBox(const double *lo, const double *hi, int dims,
-                       RestrictedForest &out,
+    double leafTracked(std::size_t tree, const double *x,
                        FeatureSupport &support) const;
 
     /**

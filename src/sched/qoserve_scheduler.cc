@@ -72,16 +72,12 @@ QoServeScheduler::auditView(bool full_detail) const
 void
 QoServeScheduler::onCompositionChange()
 {
-    // Intentionally no cache invalidation: the solver cache's plane
-    // and leaf paths each carry the feature box over which their
-    // contents are provably bit-identical to a fresh forest
-    // evaluation, and reuse is gated on the query lying strictly
-    // inside that box. A composition change moves the features; if it
-    // moves them outside the box the plane simply rebuilds and the
-    // leaf paths go stale via the generation counter. Invalidating here
-    // would be correct but needless — composition changes happen
-    // nearly every iteration, while the slack box absorbs most of
-    // them.
+    // Intentionally no cache invalidation: every leaf path in the
+    // solver cache carries the feature box over which its leaf is
+    // provably the one a fresh forest walk reaches, and reuse is gated
+    // on the query lying strictly inside that box. A composition
+    // change moves the features; trees whose box it leaves are simply
+    // walked again on the next probe.
 }
 
 int

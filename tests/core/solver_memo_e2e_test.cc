@@ -92,11 +92,10 @@ TEST(SolverMemoE2E, KneeReplicaRecordsIdenticalWithMemoOnAndOff)
 {
     // Just past one replica's knee (the simulator benchmark's
     // knee_single shape, shortened): queues stay deep, so batch
-    // formation solves a chunk almost every iteration. A stale memo
-    // entry shows only after the plane has been rebuilt under a row
-    // that a probe then decides early, which takes thousands of
-    // requests; a memo that skips retiring such rows first diverges
-    // near record 7,700 of this trace, and 1,500 requests missed it.
+    // formation solves a chunk almost every iteration. A leaf-path box
+    // that misses one axis (a walk that stops narrowing it, or a
+    // validity test that skips it) makes this run diverge, on each of
+    // the three non-chunk axes.
     checkMemoInvariance(5.0, 12000, 1, 3);
 }
 

@@ -3,9 +3,9 @@
  * Property tests for the flattened-forest hot path.
  *
  * The solver-facing fast paths (flat preorder walk, branchless
- * quantile network, box-tracked prediction, forest restriction and
- * per-tree tracked leaf walks) all promise *bitwise* equality with the
- * original recursive walk — not approximate agreement. Every test
+ * quantile network, box-tracked prediction and per-tree tracked leaf
+ * walks) all promise *bitwise* equality with the original recursive
+ * walk — not approximate agreement. Every test
  * here asserts exact double equality against an independent
  * reference, over randomised forests, ensemble sizes and queries.
  */
@@ -16,13 +16,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace qoserve {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** Nonlinear 4-feature target: forces deep, varied splits so the
  *  flat walk exercises real branch diversity, not one hot path. */
@@ -149,107 +146,47 @@ TEST(HotPath, TrackedSupportCertifiesBitwiseReplay)
     EXPECT_GT(replays, 100);
 }
 
-TEST(HotPath, RestrictedForestExactInsideBox)
-{
-    auto data = makeData(1500, 37);
-    RandomForest forest;
-    forest.fit(data, ForestParams{}, 41);
-
-    Rng probe(43);
-    for (int trial = 0; trial < 40; ++trial) {
-        // Random box: axes 2 and 3 pinned to a narrow window, axes
-        // 0 and 1 left free (the solver's chunk/context plane shape).
-        double lo[4] = {-kInf, -kInf, 0.0, 0.0};
-        double hi[4] = {kInf, kInf, 0.0, 0.0};
-        for (int f = 2; f < 4; ++f) {
-            double c = probe.uniform(1.0, 9.0);
-            lo[f] = c - probe.uniform(0.1, 1.5);
-            hi[f] = c + probe.uniform(0.1, 1.5);
-        }
-
-        RestrictedForest restricted;
-        FeatureSupport support;
-        forest.restrictToBox(lo, hi, 4, restricted, support);
-        ASSERT_TRUE(restricted.valid());
-        EXPECT_LE(restricted.numNodes(), forest.numFlatNodes());
-
-        for (int i = 0; i < 25; ++i) {
-            double x[4];
-            x[0] = probe.uniform(0.0, 10.0);
-            x[1] = probe.uniform(0.0, 10.0);
-            for (int f = 2; f < 4; ++f)
-                x[f] = lo[f] + (hi[f] - lo[f]) * probe.uniform(0.05, 1.0);
-            ASSERT_TRUE(support.contains(x, 4));
-            EXPECT_EQ(restricted.predictQuantile(x, 4, 0.6),
-                      forest.predictQuantile(x, 4, 0.6));
-        }
-    }
-}
-
-TEST(HotPath, RestrictedLeafPathMatchesLockstepAndCertifiesItsBox)
+TEST(HotPath, LeafTrackedMatchesLockstepAndCertifiesItsBox)
 {
     // The chunk solver's leaf-path memo rests on two properties of
-    // RestrictedForest::leafTracked: the leaf it returns is the value
-    // the lockstep walk collects for that tree, and every point
-    // inside its box (and the restriction box) reaches that leaf.
+    // RandomForest::leafTracked: the leaf it returns is the value the
+    // lockstep walk collects for that tree, and every point inside
+    // its box reaches that leaf.
     auto data = makeData(1500, 47);
     RandomForest forest;
     forest.fit(data, ForestParams{}, 53);
 
     Rng probe(59);
     int certified = 0;
-    for (int trial = 0; trial < 25; ++trial) {
-        // The solver's plane shape: axes 0 and 1 free, 2 and 3 boxed.
-        double lo[4] = {-kInf, -kInf, 0.0, 0.0};
-        double hi[4] = {kInf, kInf, 0.0, 0.0};
-        for (int f = 2; f < 4; ++f) {
-            double c = probe.uniform(2.0, 8.0);
-            lo[f] = c - 2.0;
-            hi[f] = c + 2.0;
-        }
-        RestrictedForest plane;
-        FeatureSupport plane_box;
-        forest.restrictToBox(lo, hi, 4, plane, plane_box);
-        ASSERT_EQ(plane.numTrees(), forest.numTrees());
+    for (int i = 0; i < 200; ++i) {
+        auto x = randomQuery(probe);
+        std::vector<double> leaves(forest.numTrees());
+        for (std::size_t t = 0; t < forest.numTrees(); ++t) {
+            FeatureSupport box;
+            box.reset(4);
+            leaves[t] = forest.leafTracked(t, x.data(), box);
+            EXPECT_EQ(leaves[t], forest.tree(t).predict(x));
+            EXPECT_TRUE(box.contains(x.data(), 4));
 
-        for (int i = 0; i < 8; ++i) {
-            std::vector<double> x(4);
-            x[0] = probe.uniform(0.0, 10.0);
-            x[1] = probe.uniform(0.0, 10.0);
-            for (int f = 2; f < 4; ++f)
-                x[f] = lo[f] + (hi[f] - lo[f]) * probe.uniform(0.05, 1.0);
-
-            std::vector<double> leaves(plane.numTrees());
-            for (std::size_t t = 0; t < plane.numTrees(); ++t) {
-                FeatureSupport box;
-                box.reset(4);
-                leaves[t] = plane.leafTracked(t, x.data(), box);
-                EXPECT_EQ(leaves[t], forest.tree(t).predict(x));
-                EXPECT_TRUE(box.contains(x.data(), 4));
-
-                for (int j = 0; j < 4; ++j) {
-                    std::vector<double> y(4);
-                    for (int f = 0; f < 4; ++f) {
-                        double a = std::max({box.lo[f], plane_box.lo[f],
-                                             -50.0});
-                        double b = std::min({box.hi[f], plane_box.hi[f],
-                                             50.0});
-                        y[f] = a + (b - a) * probe.uniform(0.01, 1.0);
-                    }
-                    if (!box.contains(y.data(), 4) ||
-                        !plane_box.contains(y.data(), 4))
-                        continue;
-                    ++certified;
-                    EXPECT_EQ(forest.tree(t).predict(y), leaves[t]);
+            for (int j = 0; j < 4; ++j) {
+                std::vector<double> y(4);
+                for (int f = 0; f < 4; ++f) {
+                    double a = std::max(box.lo[f], -50.0);
+                    double b = std::min(box.hi[f], 50.0);
+                    y[f] = a + (b - a) * probe.uniform(0.01, 1.0);
                 }
+                if (!box.contains(y.data(), 4))
+                    continue;
+                ++certified;
+                EXPECT_EQ(forest.tree(t).predict(y), leaves[t]);
             }
-            // Per-tree leaves fed through the shared quantile kernel
-            // reproduce the lockstep quantile bit for bit.
-            EXPECT_EQ(quantileOfPreds(leaves, 0.6),
-                      plane.predictQuantile(x.data(), 4, 0.6));
         }
+        // Per-tree leaves fed through the shared quantile kernel
+        // reproduce the lockstep quantile bit for bit.
+        EXPECT_EQ(quantileOfPreds(leaves, 0.6),
+                  forest.predictQuantile(x.data(), 4, 0.6));
     }
-    EXPECT_GT(certified, 1000);
+    EXPECT_GT(certified, 10000);
 }
 
 } // namespace
