@@ -70,56 +70,22 @@ BenchOptions::effectiveJobs() const
 }
 
 BenchOptions
-parseBenchArgs(const std::string &bench_name, int argc, char **argv)
+parseBenchArgs(const std::string &bench_name, int argc, char **argv,
+               std::vector<flags::Flag> extra)
 {
     BenchOptions opts;
     opts.benchName = bench_name;
-
-    auto usage = [&](std::FILE *out) {
-        std::fprintf(out,
-                     "usage: %s [--jobs N] [--json PATH]\n"
-                     "  --jobs N   sweep worker threads (default: "
-                     "hardware concurrency; 1 = serial).\n"
-                     "             Bench output is identical for every "
-                     "N.\n"
-                     "  --json P   write per-run wall-clock/throughput "
-                     "JSON to P\n",
-                     bench_name.c_str());
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--help" || flag == "-h") {
-            usage(stdout);
-            std::exit(0);
-        } else if (flag == "--jobs") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--jobs requires a value\n");
-                std::exit(1);
-            }
-            const char *value = argv[++i];
-            char *end = nullptr;
-            long jobs = std::strtol(value, &end, 10);
-            if (end == value || *end != '\0' || jobs < 0) {
-                std::fprintf(stderr,
-                             "--jobs: expected a non-negative "
-                             "integer, got '%s'\n",
-                             value);
-                std::exit(1);
-            }
-            opts.jobs = static_cast<int>(jobs);
-        } else if (flag == "--json") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--json requires a value\n");
-                std::exit(1);
-            }
-            opts.jsonOut = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(stderr);
-            std::exit(1);
-        }
-    }
+    std::vector<flags::Flag> table = std::move(extra);
+    table.push_back(flags::integer(
+        "--jobs", "N",
+        "sweep worker threads; 0 = hardware concurrency, 1 = serial. "
+        "Bench output is identical for every N.",
+        opts.jobs, 0));
+    table.push_back(flags::text(
+        "--json", "PATH", "write per-run wall-clock/throughput JSON here",
+        opts.jsonOut));
+    flags::parseMain("usage: " + bench_name + " [flags]", table, argc,
+                     argv);
     return opts;
 }
 

@@ -31,6 +31,7 @@
 #include <string>
 
 #include "app/qoserve.hh"
+#include "simcore/flags.hh"
 
 namespace qoserve {
 namespace bench {
@@ -104,11 +105,12 @@ struct BenchOptions
 };
 
 /**
- * Parse the shared bench flags (--jobs, --json, --help). Unknown
- * flags and --help print usage; --help exits 0, errors exit 1.
+ * Parse the shared bench flags (--jobs, --json, --help) plus a bench's
+ * own @p extra entries. --help exits 0, errors are fatal (exit 1).
  */
 BenchOptions parseBenchArgs(const std::string &bench_name, int argc,
-                            char **argv);
+                            char **argv,
+                            std::vector<flags::Flag> extra = {});
 
 /** Build the ServingConfig for a RunConfig (predictor-cached). */
 ServingConfig toServingConfig(const RunConfig &cfg);

@@ -21,8 +21,8 @@
  * Any violated invariant prints a diagnostic and exits non-zero, so
  * the harness doubles as a CI gate.
  *
- * Extra flags (before the common ones): --smoke shortens the runs for
- * CI; --goodput-floor F overrides the degradation floor.
+ * Extra flags: --smoke shortens the runs for CI; --goodput-floor F
+ * overrides the degradation floor.
  */
 
 #include "bench_common.hh"
@@ -273,34 +273,13 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
 int
 main(int argc, char **argv)
 {
-    // Strip the chaos-specific flags before the common parser (which
-    // rejects unknown flags).
+    using namespace qoserve;
     bool smoke = false;
     double goodput_floor = 0.5;
-    std::vector<char *> rest;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg(argv[i]);
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--goodput-floor") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--goodput-floor requires a value\n");
-                return 1;
-            }
-            goodput_floor = std::atof(argv[++i]);
-            if (!(goodput_floor >= 0.0 && goodput_floor <= 1.0)) {
-                std::fprintf(stderr, "--goodput-floor must be in "
-                                     "[0, 1], got %s\n",
-                             argv[i]);
-                return 1;
-            }
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    return qoserve::run(qoserve::bench::parseBenchArgs(
-                            "ext_chaos", static_cast<int>(rest.size()),
-                            rest.data()),
-                        smoke, goodput_floor);
+    bench::BenchOptions opts = bench::parseBenchArgs(
+        "ext_chaos", argc, argv,
+        {flags::toggle("--smoke", "shorten the runs for CI", smoke),
+         flags::real("--goodput-floor", "F", "degradation floor",
+                     goodput_floor, flags::kUnitInterval)});
+    return run(opts, smoke, goodput_floor);
 }

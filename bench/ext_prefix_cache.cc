@@ -15,9 +15,6 @@
 
 #include "bench_common.hh"
 
-#include <string_view>
-#include <vector>
-
 #include "cluster/capacity.hh"
 
 namespace qoserve {
@@ -191,18 +188,12 @@ int
 main(int argc, char **argv)
 {
     using namespace qoserve;
-    // --skip-goodput (CI smoke mode) is ours; everything else goes to
-    // the shared bench parser.
     bool skip_goodput = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--skip-goodput")
-            skip_goodput = true;
-        else
-            args.push_back(argv[i]);
-    }
     bench::BenchOptions opts = bench::parseBenchArgs(
-        "ext_prefix_cache", static_cast<int>(args.size()), args.data());
+        "ext_prefix_cache", argc, argv,
+        {flags::toggle("--skip-goodput",
+                       "skip the goodput comparison (CI smoke mode)",
+                       skip_goodput)});
     bench::printBanner("Shared-prefix KV cache reuse",
                        "prefix-cache extension (DESIGN.md §9)");
     shareRatioSweep();

@@ -14,9 +14,8 @@
  * memory stays flat in the trace length; the trace itself is the only
  * O(requests) allocation.
  *
- * Extra flag (before the common ones): --smoke runs only the two
- * smallest points — CI uses it to byte-compare --jobs 1 vs 4 and to
- * bound suite time.
+ * Extra flag: --smoke runs only the two smallest points — CI uses it
+ * to byte-compare --jobs 1 vs 4 and to bound suite time.
  */
 
 #include "bench_common.hh"
@@ -163,19 +162,12 @@ run(const bench::BenchOptions &opts, bool smoke)
 int
 main(int argc, char **argv)
 {
-    // Strip the bench-specific flag before the common parser (which
-    // rejects unknown flags).
+    using namespace qoserve;
     bool smoke = false;
-    std::vector<char *> rest;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke")
-            smoke = true;
-        else
-            rest.push_back(argv[i]);
-    }
-    qoserve::run(qoserve::bench::parseBenchArgs(
-                     "ext_scale", static_cast<int>(rest.size()),
-                     rest.data()),
-                 smoke);
+    bench::BenchOptions opts = bench::parseBenchArgs(
+        "ext_scale", argc, argv,
+        {flags::toggle("--smoke", "run only the two smallest points",
+                       smoke)});
+    run(opts, smoke);
     return 0;
 }

@@ -67,7 +67,7 @@ run(const bench::BenchOptions &opts)
             bench::RunConfig cfg;
             cfg.policy = policies[cell.policy];
             cfg.hw = hw_cases[cell.hw].hw;
-            cfg.dataset = datasetByName(datasets[cell.ds]);
+            cfg.dataset = datasetPresets().lookup(datasets[cell.ds]);
             cfg.traceDuration = 1500.0;
             cfg.seed = 13;
             GoodputSearch search;

@@ -5,8 +5,7 @@
 
 #include "app/cli_options.hh"
 
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
 
 #include "simcore/logging.hh"
 
@@ -14,552 +13,273 @@ namespace qoserve {
 
 namespace {
 
-double
-parseDouble(const std::string &flag, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("flag ", flag, ": not a number: '", value, "'");
-    }
-}
+const flags::Choices<Policy> kPolicies{
+    "policy",
+    {{"qoserve", Policy::QoServe}, {"fcfs", Policy::SarathiFcfs},
+     {"edf", Policy::SarathiEdf}, {"sjf", Policy::SarathiSjf},
+     {"srpf", Policy::SarathiSrpf}, {"medha", Policy::Medha},
+     {"dp", Policy::SlosServeDp}},
+};
 
-std::uint64_t
-parseU64(const std::string &flag, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("flag ", flag, ": not an integer: '", value, "'");
-    }
-}
+const flags::Choices<ReplicaHwConfig> kHwPresets{
+    "hardware preset",
+    {{"llama3-8b-a100-tp1", llama3_8b_a100_tp1()},
+     {"qwen-7b-a100-tp2", qwen_7b_a100_tp2()},
+     {"llama3-70b-h100-tp4", llama3_70b_h100_tp4()}},
+    [](const ReplicaHwConfig &a, const ReplicaHwConfig &b) {
+        return a.model.name == b.model.name && a.gpu.name == b.gpu.name &&
+               a.tpDegree == b.tpDegree;
+    },
+};
 
-std::vector<double>
-parseMix(const std::string &flag, const std::string &value)
-{
-    std::vector<double> mix;
-    std::istringstream iss(value);
-    std::string part;
-    while (std::getline(iss, part, ','))
-        mix.push_back(parseDouble(flag, part));
-    return mix;
-}
+const flags::Choices<LoadBalancePolicy> kBalancers{
+    "load balancer",
+    {{"rr", LoadBalancePolicy::RoundRobin},
+     {"round-robin", LoadBalancePolicy::RoundRobin},
+     {"least-loaded", LoadBalancePolicy::LeastLoaded},
+     {"jsq", LoadBalancePolicy::ShortestQueue},
+     {"shortest-queue", LoadBalancePolicy::ShortestQueue}},
+};
 
-LoadBalancePolicy
-parseLb(const std::string &value)
-{
-    if (value == "rr" || value == "round-robin")
-        return LoadBalancePolicy::RoundRobin;
-    if (value == "least-loaded")
-        return LoadBalancePolicy::LeastLoaded;
-    if (value == "jsq" || value == "shortest-queue")
-        return LoadBalancePolicy::ShortestQueue;
-    QOSERVE_FATAL("unknown load balancer: ", value,
-                  " (rr|least-loaded|jsq)");
-}
+const flags::Choices<TierTable> kTierTables{
+    "tier table",
+    {{"paper", paperTierTable()}, {"strict", strictTierTable()}},
+    [](const TierTable &a, const TierTable &b) {
+        auto same_slos = [](const QosTier &x, const QosTier &y) {
+            return x.ttftSlo == y.ttftSlo && x.tbtSlo == y.tbtSlo &&
+                   x.ttltSlo == y.ttltSlo;
+        };
+        return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                          same_slos);
+    },
+};
 
 } // namespace
 
 Policy
 parsePolicyName(const std::string &name)
 {
-    if (name == "qoserve")
-        return Policy::QoServe;
-    if (name == "fcfs")
-        return Policy::SarathiFcfs;
-    if (name == "edf")
-        return Policy::SarathiEdf;
-    if (name == "sjf")
-        return Policy::SarathiSjf;
-    if (name == "srpf")
-        return Policy::SarathiSrpf;
-    if (name == "medha")
-        return Policy::Medha;
-    if (name == "dp")
-        return Policy::SlosServeDp;
-    QOSERVE_FATAL("unknown policy: ", name,
-                  " (qoserve|fcfs|edf|sjf|srpf|medha|dp)");
+    return kPolicies.lookup(name);
 }
 
 ReplicaHwConfig
 parseHwName(const std::string &name)
 {
-    if (name == "llama3-8b-a100-tp1")
-        return llama3_8b_a100_tp1();
-    if (name == "qwen-7b-a100-tp2")
-        return qwen_7b_a100_tp2();
-    if (name == "llama3-70b-h100-tp4")
-        return llama3_70b_h100_tp4();
-    QOSERVE_FATAL("unknown hardware preset: ", name,
-                  " (llama3-8b-a100-tp1|qwen-7b-a100-tp2|"
-                  "llama3-70b-h100-tp4)");
+    return kHwPresets.lookup(name);
+}
+
+std::vector<flags::Flag>
+cliFlags(CliOptions &o)
+{
+    using namespace flags;
+    ServingConfig &s = o.serving;
+    FaultConfig &f = o.fault;
+    DomainConfig &d = o.domains;
+    BrownoutConfig &b = o.brownout;
+    SloMonitorConfig &slo = o.sloAlert;
+    return {
+        section("workload"),
+        choice("--dataset", "NAME", "length distributions", o.dataset,
+               datasetPresets()),
+        choice("--tiers", "NAME", "QoS tiers (paper = Table 3)", o.tiers,
+               kTierTables),
+        realList("--mix", "A,B,...",
+                 "tier fractions summing to 1; empty = equal", o.tierMix),
+        real("--low-priority", "F", "fraction hinted low-priority",
+             o.lowPriorityFraction, kUnitInterval),
+        real("--qps", "X", "Poisson arrival rate", o.qps, kPositive),
+        real("--duration", "S", "trace length", o.duration, kPositive),
+        integer("--seed", "N", "workload seed", o.seed),
+        text("--trace-in", "FILE", "replay a CSV trace", o.traceIn),
+
+        section("deployment"),
+        choice("--policy", "NAME", "scheduler", s.policy, kPolicies),
+        choice("--hw", "NAME", "hardware", s.hw, kHwPresets),
+        integer("--replicas", "N", "replica count", s.numReplicas, 1),
+        choice("--lb", "NAME", "load balancer", o.loadBalance,
+               kBalancers),
+        integer("--chunk", "N", "fixed chunk tokens for baselines",
+                s.base.fixedChunkTokens, 1),
+        real("--alpha", "MS", "hybrid alpha, ms/token",
+             s.qoserve.alphaMsPerToken, kNonNegative),
+        toggle("--adaptive-alpha", "enable load-adaptive alpha",
+               s.qoserve.adaptiveAlpha),
+        integer("--max-chunk", "N", "QoServe dynamic chunk cap",
+                s.qoserve.maxChunkTokens, s.qoserve.chunkStep),
+        toggle("--no-solver-cache", "disable the chunk-solver memo "
+               "(same results, slower)", s.qoserve.enableSolverMemo, false),
+        toggle("--oracle-predictor", "use the oracle, not the forest",
+               s.useForestPredictor, false),
+        integer("--jobs", "N", "training threads, 0 = all cores (same "
+                "results for any value)", s.trainJobs, 0),
+
+        section("prefix cache"),
+        toggle("--prefix-cache", "enable shared-prefix KV cache reuse",
+               s.prefixCache.enabled),
+        real("--cache-capacity-frac", "F", "fraction of KV blocks cached",
+             s.prefixCache.capacityFrac),
+        toggle("--cache-affinity", "route to the longest cached prefix "
+               "(requires --prefix-cache)", s.cacheAffinityRouting),
+        real("--share-ratio", "F", "fraction with a shared prefix",
+             o.sharedPrefix.shareRatio),
+        integer("--prefix-pools", "N", "system-prompt pool count",
+                o.sharedPrefix.numPools, 0),
+        real("--multi-turn", "F", "shared fraction continuing a chat",
+             o.sharedPrefix.multiTurnFrac),
+
+        section("faults"),
+        real("--fault-mtbf", "S", "mean time between crashes; 0 = none",
+             f.crashMtbf, kNonNegative),
+        real("--fault-mttr", "S", "mean time to repair a crash",
+             f.crashMttr, kPositive),
+        real("--straggler-mtbf", "S", "mean time between stragglers; "
+             "0 = none", f.stragglerMtbf, kNonNegative),
+        real("--straggler-duration", "S", "mean straggler episode length",
+             f.stragglerDuration, kPositive),
+        real("--straggler-factor", "X", "latency multiplier when slow",
+             f.stragglerFactor, {1.0, false, "must be at least 1"}),
+        integer("--fault-seed", "N", "fault-schedule seed", f.seed),
+        integer("--max-retries", "N", "re-dispatches per failed request",
+                o.retry.maxRetries, 0),
+        real("--retry-backoff", "S", "first re-dispatch backoff, doubled "
+             "per attempt", o.retry.initialBackoff, kPositive),
+        toggle("--no-health-aware", "route ignoring replica health",
+               o.healthAwareRouting, false),
+
+        section("failure domains"),
+        integer("--zones", "N", "failure zones (replica ranges); 0 = none",
+                d.zones, 0),
+        real("--zone-mtbf", "S", "mean time between zone outages; 0 = "
+             "off (requires --zones)", d.zoneMtbf, kNonNegative),
+        real("--zone-mttr", "S", "mean time to restore a zone",
+             d.zoneMttr, kPositive),
+        real("--partition-mtbf", "S", "mean time between control-plane "
+             "partitions; 0 = off", d.partitionMtbf, kNonNegative),
+        real("--partition-mttr", "S", "mean partition duration",
+             d.partitionMttr, kPositive),
+        real("--partition-frac", "F", "fraction of replicas blinded",
+             d.partitionFrac, {0.0, true, "must be in (0, 1]", 1.0}),
+        integer("--domain-seed", "N", "failure-domain seed", d.seed),
+
+        section("graceful degradation"),
+        integer("--breaker-threshold", "N", "dispatch failures that trip "
+                "a breaker; 0 = off", o.breaker.failureThreshold, 0),
+        real("--breaker-cooldown", "S", "seconds a breaker stays open",
+             o.breaker.cooldown, kPositive),
+        toggle("--deadline-cancel", "abandon retries that cannot make "
+               "their deadline", o.deadlineCancel),
+        toggle("--brownout", "enable the brownout controller", b.enabled),
+        real("--brownout-enter", "T", "backlog per replica that deepens "
+             "a level", b.enterBacklog, kPositive),
+        real("--brownout-exit", "T", "backlog that steps back, < enter",
+             b.exitBacklog, kNonNegative),
+        real("--brownout-interval", "S", "controller sampling cadence",
+             b.interval, kPositive),
+        integer("--brownout-cap", "N", "decode-token cap at level >= 1",
+                b.capTokens, 1),
+        integer("--brownout-shed-tier", "N", "tier shed at level >= 2; "
+                "-1 = the last", b.shedTier, -1),
+
+        section("output"),
+        text("--trace-out", "FILE", "workload CSV", o.traceOut),
+        text("--records-out", "FILE", "per-request records CSV",
+             o.recordsOut),
+        text("--telemetry-out", "FILE", "per-iteration telemetry CSV",
+             o.telemetryOut),
+        text("--summary-out", "FILE", "run summary CSV", o.summaryOut),
+        text("--trace", "FILE", "lifecycle trace, Perfetto JSON",
+             o.traceJsonOut),
+        text("--trace-csv", "FILE", "lifecycle events CSV",
+             o.traceEventsOut),
+        text("--metrics-out", "FILE", "metrics time-series CSV",
+             o.metricsOut),
+        real("--metrics-interval", "S", "metrics cadence (requires "
+             "--metrics-out)", o.metricsInterval, kPositive),
+        text("--sketch-out", "FILE", "per-tier latency sketches CSV",
+             o.sketchOut),
+        real("--sketch-alpha", "E", "sketch relative error (requires "
+             "--sketch-out)", o.sketchAlpha,
+             {0.0, true, "must be in (0, 1)", 1.0, true}),
+
+        section("SLO monitoring (--slo-alert-* require --slo-monitor)"),
+        toggle("--slo-monitor", "run the burn-rate alert monitor",
+               o.sloMonitor),
+        real("--slo-alert-budget", "F", "per-tier violation budget",
+             slo.budget, {0.0, true, "must be in (0, 1]", 1.0}),
+        real("--slo-alert-burn", "X", "burn rate that fires an alert",
+             slo.burn, kPositive),
+        real("--slo-alert-short", "S", "short window, <= the long one",
+             slo.shortWindow, kPositive),
+        real("--slo-alert-long", "S", "long window", slo.longWindow,
+             kPositive),
+        real("--slo-alert-interval", "S", "evaluation cadence",
+             slo.interval, kPositive),
+        text("--slo-alerts-out", "FILE", "alert timeline CSV",
+             o.sloAlertsOut),
+    };
 }
 
 std::string
 cliUsage()
 {
-    return R"(qoserve_sim — QoS-driven LLM serving simulator
-
-workload:
-  --dataset NAME        azure-code | azure-conv | sharegpt (default azure-code)
-  --tiers NAME          paper | strict (default paper, Table 3)
-  --mix A,B,...         tier fractions summing to 1 (default equal)
-  --low-priority F      fraction hinted low-priority (default 0)
-  --qps X               Poisson arrival rate (default 3)
-  --duration S          trace length in seconds (default 600)
-  --seed N              workload seed (default 42)
-  --trace-in FILE       replay a CSV trace instead of synthesizing
-
-deployment:
-  --policy NAME         qoserve | fcfs | edf | sjf | srpf | medha | dp
-  --hw NAME             llama3-8b-a100-tp1 | qwen-7b-a100-tp2 |
-                        llama3-70b-h100-tp4
-  --replicas N          replica count (default 1)
-  --lb NAME             rr | least-loaded | jsq (default rr)
-  --chunk N             fixed chunk tokens for baselines (default 256)
-  --alpha MS            hybrid alpha, ms/token (default 8)
-  --adaptive-alpha      enable load-adaptive alpha
-  --max-chunk N         QoServe dynamic chunk cap (default 2560)
-  --no-solver-cache     disable the chunk-budget solver memo (results
-                        are identical; only wall-clock changes)
-  --oracle-predictor    use the oracle instead of the random forest
-  --jobs N              worker threads for predictor training
-                        (default 0 = hardware concurrency; any value
-                        yields bit-identical results)
-
-prefix cache:
-  --prefix-cache        enable shared-prefix KV cache reuse
-  --cache-capacity-frac F  fraction of KV blocks the cache may hold
-                        (default 0.5)
-  --cache-affinity      route each request to the replica holding the
-                        longest cached prefix (requires --prefix-cache)
-  --share-ratio F       fraction of synthesized requests drawing a
-                        shared prompt prefix (default 0 = all unique)
-  --prefix-pools N      system-prompt pool count for shared prefixes
-                        (default 8)
-  --multi-turn F        fraction of shared requests that continue an
-                        earlier conversation (default 0.5)
-
-faults:
-  --fault-mtbf S        mean time between replica crashes, seconds
-                        (default 0 = no crashes)
-  --fault-mttr S        mean time to repair a crashed replica
-                        (default 20)
-  --straggler-mtbf S    mean time between straggler episodes
-                        (default 0 = no stragglers)
-  --straggler-duration S  mean straggler episode length (default 10)
-  --straggler-factor X  latency multiplier while straggling
-                        (default 2)
-  --fault-seed N        fault-schedule seed, independent of the
-                        workload seed (default 1)
-  --max-retries N       re-dispatch budget per failed request
-                        (default 3; 0 = never retry)
-  --retry-backoff S     initial re-dispatch backoff, doubled per
-                        attempt (default 0.05)
-  --no-health-aware     route blindly: ignore replica health and
-                        slowdown when picking a replica
-
-failure domains:
-  --zones N             failure zones the replicas split into,
-                        contiguous index ranges (default 0 = none)
-  --zone-mtbf S         mean time between outages per zone, seconds
-                        (default 0 = off; requires --zones)
-  --zone-mttr S         mean time to restore a failed zone
-                        (default 30)
-  --partition-mtbf S    mean time between control-plane partitions
-                        (default 0 = off)
-  --partition-mttr S    mean partition duration before the routing
-                        view heals (default 10)
-  --partition-frac F    fraction of replicas blinded per partition,
-                        in (0, 1] (default 0.25)
-  --domain-seed N       failure-domain seed, independent of the
-                        workload and fault seeds (default 7)
-
-graceful degradation:
-  --breaker-threshold N consecutive dispatch failures that trip a
-                        replica's circuit breaker (default 0 = off)
-  --breaker-cooldown S  seconds a tripped breaker stays open before
-                        its half-open probe (default 1)
-  --deadline-cancel     abandon a retried request when its completion
-                        deadline is provably unreachable
-  --brownout            enable the brownout controller
-  --brownout-enter T    pending prefill tokens per live replica above
-                        which it steps one level deeper (default 4096)
-  --brownout-exit T     backlog below which it steps back
-                        (default 1024)
-  --brownout-interval S controller sampling cadence (default 1)
-  --brownout-cap N      decode-token cap at level >= 1 (default 128)
-  --brownout-shed-tier N  tier shed at level >= 2 (default -1 = the
-                        last tier of the table)
-
-output:
-  --trace-out FILE      dump the workload as CSV
-  --records-out FILE    dump per-request records as CSV
-  --telemetry-out FILE  dump per-iteration engine telemetry as CSV
-  --summary-out FILE    dump the run summary as CSV
-  --trace FILE          dump the request-lifecycle trace as Chrome /
-                        Perfetto trace_event JSON (one process per
-                        replica, one thread per request)
-  --trace-csv FILE      dump the raw lifecycle events as flat CSV
-  --metrics-out FILE    dump the metrics time series as CSV
-  --metrics-interval S  metrics sampling cadence in sim seconds
-                        (default 5; requires --metrics-out)
-  --sketch-out FILE     dump per-tier latency quantile sketches as CSV
-  --sketch-alpha E      sketch relative-error bound in (0, 1)
-                        (default 0.01; requires --sketch-out)
-
-SLO monitoring (all --slo-alert-* flags require --slo-monitor):
-  --slo-monitor         run the multi-window burn-rate monitor as a
-                        read-only daemon observer
-  --slo-alert-budget F  per-tier violation budget in (0, 1]
-                        (default 0.01)
-  --slo-alert-burn X    burn-rate threshold that fires an alert
-                        (default 14.4)
-  --slo-alert-short S   short alert window, sim seconds (default 300)
-  --slo-alert-long S    long alert window, sim seconds (default 3600)
-  --slo-alert-interval S  monitor evaluation cadence (default 10)
-  --slo-alerts-out FILE dump the alert timeline as CSV
-  --help                this text
-)";
+    CliOptions defaults;
+    return flags::usage("qoserve_sim — QoS-driven LLM serving simulator",
+                        cliFlags(defaults));
 }
 
 CliOptions
 parseCliOptions(const std::vector<std::string> &args)
 {
     CliOptions opts;
-
-    // Config flags that merely tune an output/subsystem another flag
-    // enables: remembered here so the validation below can reject
-    // configuration without the enabler.
-    bool metricsIntervalSet = false;
-    bool sketchAlphaSet = false;
-    bool sloAlertFlagSet = false;
-
-    auto need_value = [&](std::size_t i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            QOSERVE_FATAL("flag ", flag, " requires a value");
-        return args[i + 1];
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
-        if (flag == "--help" || flag == "-h") {
-            opts.helpRequested = true;
-        } else if (flag == "--dataset") {
-            opts.dataset = datasetByName(need_value(i++, flag));
-        } else if (flag == "--tiers") {
-            std::string v = need_value(i++, flag);
-            if (v == "paper")
-                opts.tiers = paperTierTable();
-            else if (v == "strict")
-                opts.tiers = strictTierTable();
-            else
-                QOSERVE_FATAL("unknown tier table: ", v,
-                              " (paper|strict)");
-        } else if (flag == "--mix") {
-            opts.tierMix = parseMix(flag, need_value(i++, flag));
-        } else if (flag == "--low-priority") {
-            opts.lowPriorityFraction =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--qps") {
-            opts.qps = parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--duration") {
-            opts.duration = parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--seed") {
-            opts.seed = parseU64(flag, need_value(i++, flag));
-        } else if (flag == "--trace-in") {
-            opts.traceIn = need_value(i++, flag);
-        } else if (flag == "--policy") {
-            opts.serving.policy =
-                parsePolicyName(need_value(i++, flag));
-        } else if (flag == "--hw") {
-            opts.serving.hw = parseHwName(need_value(i++, flag));
-        } else if (flag == "--replicas") {
-            opts.serving.numReplicas = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--lb") {
-            opts.loadBalance = parseLb(need_value(i++, flag));
-        } else if (flag == "--chunk") {
-            opts.serving.base.fixedChunkTokens = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--alpha") {
-            opts.serving.qoserve.alphaMsPerToken =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--adaptive-alpha") {
-            opts.serving.qoserve.adaptiveAlpha = true;
-        } else if (flag == "--max-chunk") {
-            opts.serving.qoserve.maxChunkTokens = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--no-solver-cache") {
-            opts.serving.qoserve.enableSolverMemo = false;
-        } else if (flag == "--oracle-predictor") {
-            opts.serving.useForestPredictor = false;
-        } else if (flag == "--jobs") {
-            opts.serving.trainJobs = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--prefix-cache") {
-            opts.serving.prefixCache.enabled = true;
-        } else if (flag == "--cache-capacity-frac") {
-            opts.serving.prefixCache.capacityFrac =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--cache-affinity") {
-            opts.serving.cacheAffinityRouting = true;
-        } else if (flag == "--share-ratio") {
-            opts.sharedPrefix.shareRatio =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--prefix-pools") {
-            opts.sharedPrefix.numPools = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--multi-turn") {
-            opts.sharedPrefix.multiTurnFrac =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--fault-mtbf") {
-            opts.fault.crashMtbf =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--fault-mttr") {
-            opts.fault.crashMttr =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--straggler-mtbf") {
-            opts.fault.stragglerMtbf =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--straggler-duration") {
-            opts.fault.stragglerDuration =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--straggler-factor") {
-            opts.fault.stragglerFactor =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--fault-seed") {
-            opts.fault.seed = parseU64(flag, need_value(i++, flag));
-        } else if (flag == "--max-retries") {
-            opts.retry.maxRetries = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--retry-backoff") {
-            opts.retry.initialBackoff =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--no-health-aware") {
-            opts.healthAwareRouting = false;
-        } else if (flag == "--zones") {
-            opts.domains.zones = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--zone-mtbf") {
-            opts.domains.zoneMtbf =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--zone-mttr") {
-            opts.domains.zoneMttr =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--partition-mtbf") {
-            opts.domains.partitionMtbf =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--partition-mttr") {
-            opts.domains.partitionMttr =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--partition-frac") {
-            opts.domains.partitionFrac =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--domain-seed") {
-            opts.domains.seed = parseU64(flag, need_value(i++, flag));
-        } else if (flag == "--breaker-threshold") {
-            opts.breaker.failureThreshold = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--breaker-cooldown") {
-            opts.breaker.cooldown =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--deadline-cancel") {
-            opts.deadlineCancel = true;
-        } else if (flag == "--brownout") {
-            opts.brownout.enabled = true;
-        } else if (flag == "--brownout-enter") {
-            opts.brownout.enterBacklog =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--brownout-exit") {
-            opts.brownout.exitBacklog =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--brownout-interval") {
-            opts.brownout.interval =
-                parseDouble(flag, need_value(i++, flag));
-        } else if (flag == "--brownout-cap") {
-            opts.brownout.capTokens = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
-        } else if (flag == "--brownout-shed-tier") {
-            opts.brownout.shedTier = static_cast<int>(
-                parseDouble(flag, need_value(i++, flag)));
-        } else if (flag == "--trace-out") {
-            opts.traceOut = need_value(i++, flag);
-        } else if (flag == "--trace") {
-            opts.traceJsonOut = need_value(i++, flag);
-        } else if (flag == "--trace-csv") {
-            opts.traceEventsOut = need_value(i++, flag);
-        } else if (flag == "--metrics-out") {
-            opts.metricsOut = need_value(i++, flag);
-        } else if (flag == "--metrics-interval") {
-            opts.metricsInterval =
-                parseDouble(flag, need_value(i++, flag));
-            metricsIntervalSet = true;
-        } else if (flag == "--sketch-out") {
-            opts.sketchOut = need_value(i++, flag);
-        } else if (flag == "--sketch-alpha") {
-            opts.sketchAlpha =
-                parseDouble(flag, need_value(i++, flag));
-            sketchAlphaSet = true;
-        } else if (flag == "--slo-monitor") {
-            opts.sloMonitor = true;
-        } else if (flag == "--slo-alert-budget") {
-            opts.sloAlert.budget =
-                parseDouble(flag, need_value(i++, flag));
-            sloAlertFlagSet = true;
-        } else if (flag == "--slo-alert-burn") {
-            opts.sloAlert.burn =
-                parseDouble(flag, need_value(i++, flag));
-            sloAlertFlagSet = true;
-        } else if (flag == "--slo-alert-short") {
-            opts.sloAlert.shortWindow =
-                parseDouble(flag, need_value(i++, flag));
-            sloAlertFlagSet = true;
-        } else if (flag == "--slo-alert-long") {
-            opts.sloAlert.longWindow =
-                parseDouble(flag, need_value(i++, flag));
-            sloAlertFlagSet = true;
-        } else if (flag == "--slo-alert-interval") {
-            opts.sloAlert.interval =
-                parseDouble(flag, need_value(i++, flag));
-            sloAlertFlagSet = true;
-        } else if (flag == "--slo-alerts-out") {
-            opts.sloAlertsOut = need_value(i++, flag);
-        } else if (flag == "--records-out") {
-            opts.recordsOut = need_value(i++, flag);
-        } else if (flag == "--telemetry-out") {
-            opts.telemetryOut = need_value(i++, flag);
-        } else if (flag == "--summary-out") {
-            opts.summaryOut = need_value(i++, flag);
-        } else {
-            QOSERVE_FATAL("unknown flag: ", flag,
-                          " (try --help)");
-        }
+    const std::set<std::string> given = flags::parse(cliFlags(opts), args);
+    if (given.count("--help")) {
+        opts.helpRequested = true;
+        return opts;
     }
 
-    if (opts.qps <= 0.0)
-        QOSERVE_FATAL("--qps must be positive");
-    if (opts.duration <= 0.0)
-        QOSERVE_FATAL("--duration must be positive");
-    if (opts.serving.numReplicas < 1)
-        QOSERVE_FATAL("--replicas must be at least 1");
-    if (opts.fault.crashMtbf < 0.0)
-        QOSERVE_FATAL("--fault-mtbf must be non-negative");
-    if (opts.fault.crashesEnabled() && opts.fault.crashMttr <= 0.0)
-        QOSERVE_FATAL("--fault-mttr must be positive when crashes "
-                      "are enabled (got ",
-                      opts.fault.crashMttr,
-                      "): a zero repair time would leave replicas "
-                      "down forever");
-    if (opts.fault.stragglerMtbf < 0.0)
-        QOSERVE_FATAL("--straggler-mtbf must be non-negative");
-    if (opts.retry.initialBackoff <= 0.0)
-        QOSERVE_FATAL("--retry-backoff must be positive");
-    if (opts.domains.zones < 0)
-        QOSERVE_FATAL("--zones must be non-negative");
+    // Checks a single flag's bounds cannot express. First the
+    // "requires" rules: a flag that only tunes what another enables.
+    const bool slo_alert_given =
+        std::any_of(given.begin(), given.end(), [](const std::string &f) {
+            return f.starts_with("--slo-alert-");
+        });
+    const std::pair<bool, const char *> requires_rules[] = {
+        {opts.domains.zoneMtbf > 0.0 && opts.domains.zones == 0,
+         "--zone-mtbf requires --zones"},
+        {given.count("--metrics-interval") && !opts.metricsOut,
+         "--metrics-interval requires --metrics-out"},
+        {given.count("--sketch-alpha") && !opts.sketchOut,
+         "--sketch-alpha requires --sketch-out"},
+        {slo_alert_given && !opts.sloMonitor,
+         "--slo-alert-* flags require --slo-monitor"},
+        {opts.sloAlertsOut && !opts.sloMonitor,
+         "--slo-alerts-out requires --slo-monitor"},
+        {opts.serving.cacheAffinityRouting &&
+             !opts.serving.prefixCache.enabled,
+         "--cache-affinity requires --prefix-cache"},
+    };
+    for (const auto &[broken, rule] : requires_rules)
+        if (broken)
+            QOSERVE_FATAL(rule, ": without it the setting has no effect");
     if (opts.domains.zones > opts.serving.numReplicas)
         QOSERVE_FATAL("--zones (", opts.domains.zones,
                       ") exceeds --replicas (",
                       opts.serving.numReplicas, ")");
-    if (opts.domains.zoneMtbf < 0.0)
-        QOSERVE_FATAL("--zone-mtbf must be non-negative");
-    if (opts.domains.zoneMtbf > 0.0 && opts.domains.zones == 0)
-        QOSERVE_FATAL("--zone-mtbf requires --zones");
-    if (opts.domains.zoneOutagesEnabled() &&
-        opts.domains.zoneMttr <= 0.0)
-        QOSERVE_FATAL("--zone-mttr must be positive when zone "
-                      "outages are enabled");
-    if (opts.domains.partitionMtbf < 0.0)
-        QOSERVE_FATAL("--partition-mtbf must be non-negative");
-    if (opts.domains.partitionsEnabled()) {
-        if (opts.domains.partitionMttr <= 0.0)
-            QOSERVE_FATAL("--partition-mttr must be positive when "
-                          "partitions are enabled");
-        if (!(opts.domains.partitionFrac > 0.0) ||
-            opts.domains.partitionFrac > 1.0)
-            QOSERVE_FATAL("--partition-frac must be in (0, 1], got ",
-                          opts.domains.partitionFrac);
-    }
-    if (opts.breaker.failureThreshold < 0)
-        QOSERVE_FATAL("--breaker-threshold must be non-negative");
-    if (opts.breaker.enabled() && opts.breaker.cooldown <= 0.0)
-        QOSERVE_FATAL("--breaker-cooldown must be positive when the "
-                      "breaker is enabled");
-    if (opts.brownout.enabled) {
-        if (opts.brownout.interval <= 0.0)
-            QOSERVE_FATAL("--brownout-interval must be positive");
-        if (opts.brownout.enterBacklog <= 0.0)
-            QOSERVE_FATAL("--brownout-enter must be positive");
-        if (opts.brownout.exitBacklog < 0.0 ||
-            opts.brownout.exitBacklog >= opts.brownout.enterBacklog)
-            QOSERVE_FATAL("--brownout-exit must be in [0, enter): "
-                          "the hysteresis band must exist");
-        if (opts.brownout.capTokens <= 0)
-            QOSERVE_FATAL("--brownout-cap must be positive");
-        if (opts.brownout.shedTier >=
-            static_cast<int>(opts.tiers.size()))
-            QOSERVE_FATAL("--brownout-shed-tier ",
-                          opts.brownout.shedTier,
-                          " outside the tier table (",
-                          opts.tiers.size(), " tiers)");
-    }
-    if (opts.metricsInterval <= 0.0)
-        QOSERVE_FATAL("--metrics-interval must be positive");
-    if (metricsIntervalSet && !opts.metricsOut)
-        QOSERVE_FATAL("--metrics-interval requires --metrics-out: "
-                      "the cadence configures the metrics series "
-                      "that flag enables");
-    if (!(opts.sketchAlpha > 0.0) || opts.sketchAlpha >= 1.0)
-        QOSERVE_FATAL("--sketch-alpha must be in (0, 1), got ",
-                      opts.sketchAlpha);
-    if (sketchAlphaSet && !opts.sketchOut)
-        QOSERVE_FATAL("--sketch-alpha requires --sketch-out: the "
-                      "accuracy configures the sketch bank that flag "
-                      "enables");
-    if (sloAlertFlagSet && !opts.sloMonitor)
-        QOSERVE_FATAL("--slo-alert-* flags require --slo-monitor: "
-                      "they configure the burn-rate monitor that "
-                      "flag enables");
-    if (opts.sloAlertsOut && !opts.sloMonitor)
-        QOSERVE_FATAL("--slo-alerts-out requires --slo-monitor: "
-                      "there is no alert timeline without the "
-                      "monitor");
-    if (opts.sloMonitor) {
-        if (!(opts.sloAlert.budget > 0.0) ||
-            opts.sloAlert.budget > 1.0)
-            QOSERVE_FATAL("--slo-alert-budget must be in (0, 1], "
-                          "got ", opts.sloAlert.budget);
-        if (opts.sloAlert.burn <= 0.0)
-            QOSERVE_FATAL("--slo-alert-burn must be positive, got ",
-                          opts.sloAlert.burn);
-        if (opts.sloAlert.shortWindow <= 0.0)
-            QOSERVE_FATAL("--slo-alert-short must be positive, got ",
-                          opts.sloAlert.shortWindow);
-        if (opts.sloAlert.longWindow <= 0.0)
-            QOSERVE_FATAL("--slo-alert-long must be positive, got ",
-                          opts.sloAlert.longWindow);
-        if (opts.sloAlert.shortWindow > opts.sloAlert.longWindow)
-            QOSERVE_FATAL("--slo-alert-short (",
-                          opts.sloAlert.shortWindow,
-                          ") must not exceed --slo-alert-long (",
-                          opts.sloAlert.longWindow, ")");
-        if (opts.sloAlert.interval <= 0.0)
-            QOSERVE_FATAL("--slo-alert-interval must be positive, "
-                          "got ", opts.sloAlert.interval);
-    }
+    if (opts.brownout.exitBacklog >= opts.brownout.enterBacklog)
+        QOSERVE_FATAL("--brownout-exit (", opts.brownout.exitBacklog,
+                      ") must be below --brownout-enter (",
+                      opts.brownout.enterBacklog,
+                      "): the hysteresis band must exist");
+    if (opts.brownout.shedTier >= static_cast<int>(opts.tiers.size()))
+        QOSERVE_FATAL("--brownout-shed-tier ", opts.brownout.shedTier,
+                      " outside the tier table (", opts.tiers.size(),
+                      " tiers)");
+    if (opts.sloAlert.shortWindow > opts.sloAlert.longWindow)
+        QOSERVE_FATAL("--slo-alert-short (", opts.sloAlert.shortWindow,
+                      ") must not exceed --slo-alert-long (",
+                      opts.sloAlert.longWindow, ")");
     opts.serving.prefixCache.validate();
     opts.sharedPrefix.validate();
-    if (opts.serving.cacheAffinityRouting &&
-        !opts.serving.prefixCache.enabled)
-        QOSERVE_FATAL("--cache-affinity requires --prefix-cache");
     return opts;
 }
 

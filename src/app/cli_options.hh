@@ -20,6 +20,7 @@
 #include "fault/failure_domains.hh"
 #include "fault/fault_injector.hh"
 #include "obs/slo_monitor.hh"
+#include "simcore/flags.hh"
 
 namespace qoserve {
 
@@ -98,17 +99,21 @@ struct CliOptions
     bool helpRequested = false;
 };
 
+/** The flag table (with each flag's bounds) bound to @p opts. */
+std::vector<flags::Flag> cliFlags(CliOptions &opts);
+
 /**
  * Parse argv into options.
  *
- * Unknown flags, missing values and malformed numbers are fatal
- * (user) errors with a message naming the offending flag.
+ * Unknown flags, missing values, malformed or out-of-bounds values
+ * and cross-flag conflicts are fatal (user) errors with a message
+ * naming the offending flag.
  *
  * @param args Arguments excluding argv[0].
  */
 CliOptions parseCliOptions(const std::vector<std::string> &args);
 
-/** Usage text for --help. */
+/** Usage text for --help, rendered from cliFlags over the defaults. */
 std::string cliUsage();
 
 /** Parse a policy name ("qoserve", "fcfs", "edf", ...). Fatal on

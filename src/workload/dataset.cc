@@ -105,16 +105,17 @@ azureCode()
     };
 }
 
-Dataset
-datasetByName(const std::string &name)
+const flags::Choices<Dataset> &
+datasetPresets()
 {
-    if (name == "sharegpt")
-        return sharegpt();
-    if (name == "azure-conv")
-        return azureConv();
-    if (name == "azure-code")
-        return azureCode();
-    QOSERVE_FATAL("unknown dataset preset: ", name);
+    static const flags::Choices<Dataset> presets{
+        "dataset preset",
+        {{"azure-code", azureCode()},
+         {"azure-conv", azureConv()},
+         {"sharegpt", sharegpt()}},
+        [](const Dataset &a, const Dataset &b) { return a.name == b.name; },
+    };
+    return presets;
 }
 
 } // namespace qoserve

@@ -16,6 +16,7 @@
 
 #include <string>
 
+#include "simcore/flags.hh"
 #include "simcore/rng.hh"
 
 namespace qoserve {
@@ -89,8 +90,9 @@ Dataset azureConv();
 /** Azure Code trace: long prompts, very short decodes (row 3). */
 Dataset azureCode();
 
-/** Look up a preset by name ("sharegpt", "azure-conv", "azure-code"). */
-Dataset datasetByName(const std::string &name);
+/** The presets by name ("azure-code", "azure-conv", "sharegpt");
+ *  lookup() is fatal on an unknown name. */
+const flags::Choices<Dataset> &datasetPresets();
 
 } // namespace qoserve
 

@@ -351,5 +351,104 @@ TEST(CliOptions, DegenerateFaultCombosAreFatal)
         "--brownout-shed-tier");
 }
 
+TEST(CliOptions, MalformedIntegersAreFatal)
+{
+    // Each used to wrap or truncate silently: 2^32 + 1 replicas ran
+    // one replica, and a negative unsigned value wrapped to 2^64 - 1.
+    EXPECT_DEATH(parseCliOptions({"--replicas", "4294967297"}),
+                 "flag --replicas must be in \\[1, 2147483647\\]");
+    EXPECT_DEATH(parseCliOptions({"--max-retries", "-1"}),
+                 "flag --max-retries must be non-negative");
+    EXPECT_DEATH(parseCliOptions({"--jobs", "-2"}),
+                 "flag --jobs must be non-negative");
+    EXPECT_DEATH(parseCliOptions({"--seed", "-1"}),
+                 "flag --seed must be non-negative");
+}
+
+TEST(CliOptions, ChunkBoundsAreFatal)
+{
+    // These used to pass the parser and abort in the scheduler
+    // constructors after trace synthesis.
+    EXPECT_DEATH(parseCliOptions({"--chunk", "0"}),
+                 "flag --chunk must be at least 1");
+    EXPECT_DEATH(parseCliOptions({"--chunk", "-5"}),
+                 "flag --chunk must be at least 1");
+    EXPECT_DEATH(parseCliOptions({"--max-chunk", "10"}),
+                 "flag --max-chunk must be at least 64");
+}
+
+TEST(CliOptions, StragglerChecksRunAtParseTime)
+{
+    // These used to pass the parser and fail only in the injector,
+    // after the predictor had been trained.
+    EXPECT_DEATH(parseCliOptions({"--straggler-mtbf", "30",
+                                  "--straggler-duration", "0"}),
+                 "flag --straggler-duration must be positive");
+    EXPECT_DEATH(parseCliOptions({"--straggler-mtbf", "30",
+                                  "--straggler-factor", "0.5"}),
+                 "flag --straggler-factor must be at least 1");
+}
+
+TEST(CliOptions, NonFiniteRealsAreFatal)
+{
+    EXPECT_DEATH(parseCliOptions({"--qps", "inf"}),
+                 "flag --qps: .* is not a finite number");
+    EXPECT_DEATH(parseCliOptions({"--duration", "nan"}),
+                 "flag --duration: .* is not a finite number");
+    EXPECT_DEATH(parseCliOptions({"--alpha", "-inf"}),
+                 "flag --alpha: .* is not a finite number");
+}
+
+TEST(CliOptions, BrownoutShedTierIsACheckedInteger)
+{
+    // 0.9 used to truncate to tier 0, shedding the interactive tier.
+    EXPECT_DEATH(
+        parseCliOptions({"--brownout", "--brownout-shed-tier", "0.9"}),
+        "flag --brownout-shed-tier: '0.9' is not an integer");
+    EXPECT_DEATH(
+        parseCliOptions({"--brownout", "--brownout-shed-tier", "-7"}),
+        "flag --brownout-shed-tier must be at least -1");
+    EXPECT_EQ(parseCliOptions({"--brownout", "--brownout-shed-tier", "-1"})
+                  .brownout.shedTier,
+              -1);
+}
+
+TEST(CliOptions, ValuesThatAbortedDownstreamAreFatal)
+{
+    // Both used to trip an internal assertion (abort) after parsing.
+    EXPECT_DEATH(parseCliOptions({"--low-priority", "2"}),
+                 "flag --low-priority must be in \\[0, 1\\]");
+    EXPECT_DEATH(parseCliOptions({"--alpha", "-1"}),
+                 "flag --alpha must be non-negative");
+}
+
+TEST(CliOptions, EveryDefaultRoundTripsThroughItsFlag)
+{
+    // Each value flag's rendered default must parse back through its
+    // own binding (bounds included) to the same value, and --help
+    // must list the flag with its metavar.
+    CliOptions defaults;
+    const std::vector<flags::Flag> table = cliFlags(defaults);
+    const std::string help = cliUsage();
+    std::size_t round_tripped = 0;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const flags::Flag &flag = table[i];
+        if (flag.metavar.empty())
+            continue; // a heading or a switch: no value to render
+        const std::string shown = flag.show();
+        EXPECT_NE(help.find(flag.name + " " + flag.metavar),
+                  std::string::npos)
+            << flag.name;
+        if (shown.empty())
+            continue; // an unset output path or the empty mix
+        CliOptions parsed;
+        std::vector<flags::Flag> parsed_table = cliFlags(parsed);
+        parsed_table[i].assign(shown);
+        EXPECT_EQ(parsed_table[i].show(), shown) << flag.name;
+        ++round_tripped;
+    }
+    EXPECT_GE(round_tripped, 45u);
+}
+
 } // namespace
 } // namespace qoserve

@@ -64,7 +64,7 @@ class DatasetQuantiles : public ::testing::TestWithParam<DatasetCase>
 TEST_P(DatasetQuantiles, EmpiricalQuantilesMatchTable2)
 {
     const DatasetCase &c = GetParam();
-    Dataset ds = datasetByName(c.name);
+    Dataset ds = datasetPresets().lookup(c.name);
     Rng rng(17);
 
     constexpr int n = 60000;

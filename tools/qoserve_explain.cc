@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -26,24 +25,7 @@
 #include "obs/critical_path.hh"
 #include "obs/explain.hh"
 #include "obs/trace_sink.hh"
-
-namespace {
-
-void
-usage(std::ostream &out)
-{
-    out << R"(qoserve_explain — attribute SLO violations to lifecycle phases
-
-  --trace FILE         lifecycle event CSV (qoserve_sim --trace-csv)
-  --records FILE       per-request records CSV (qoserve_sim --records-out)
-  --top N              offenders to list (default 10)
-  --critical-csv FILE  also write the violated requests' critical-path
-                       aggregate as CSV (qoserve_report input)
-  --help               this text
-)";
-}
-
-} // namespace
+#include "simcore/flags.hh"
 
 int
 main(int argc, char **argv)
@@ -55,37 +37,24 @@ main(int argc, char **argv)
     std::optional<std::string> critical_path;
     std::size_t top_n = 10;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
-        auto need_value = [&]() -> const std::string & {
-            if (i + 1 >= args.size()) {
-                std::cerr << "flag " << flag << " requires a value\n";
-                std::exit(1);
-            }
-            return args[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(std::cout);
-            return 0;
-        } else if (flag == "--trace") {
-            trace_path = need_value();
-        } else if (flag == "--records") {
-            records_path = need_value();
-        } else if (flag == "--top") {
-            top_n = static_cast<std::size_t>(
-                std::strtoull(need_value().c_str(), nullptr, 10));
-        } else if (flag == "--critical-csv") {
-            critical_path = need_value();
-        } else {
-            std::cerr << "unknown flag: " << flag << " (try --help)\n";
-            return 1;
-        }
-    }
-    if (!trace_path || !records_path) {
-        usage(std::cerr);
-        return 1;
-    }
+    const std::vector<flags::Flag> table = {
+        flags::text("--trace", "FILE",
+                    "lifecycle event CSV (qoserve_sim --trace-csv)",
+                    trace_path),
+        flags::text("--records", "FILE",
+                    "per-request records CSV (qoserve_sim --records-out)",
+                    records_path),
+        flags::integer("--top", "N", "offenders to list", top_n),
+        flags::text("--critical-csv", "FILE",
+                    "also write the violated requests' critical-path "
+                    "aggregate as CSV (qoserve_report input)",
+                    critical_path),
+    };
+    flags::parseMain(
+        "qoserve_explain — attribute SLO violations to lifecycle phases",
+        table, argc, argv);
+    if (!trace_path || !records_path)
+        QOSERVE_FATAL("--trace and --records are required (try --help)");
 
     std::vector<TraceEvent> events = readTraceCsvFile(*trace_path);
     std::vector<RecordsCsvRow> rows = readRecordsCsvFile(*records_path);

@@ -24,37 +24,7 @@
 #include <vector>
 
 #include "obs/run_diff.hh"
-
-namespace {
-
-void
-usage(std::ostream &out)
-{
-    out << R"(qoserve_report — diff two runs' streaming SLO analytics
-
-  --sketches-a FILE      run A latency sketch bank (--sketch-out)
-  --sketches-b FILE      run B latency sketch bank
-  --alerts-a FILE        run A alert timeline (--slo-alerts-out)
-  --alerts-b FILE        run B alert timeline
-  --critical-a FILE      run A critical-path CSV (qoserve_explain
-                         --critical-csv)
-  --critical-b FILE      run B critical-path CSV
-  --label-a NAME         run A display name (default "before")
-  --label-b NAME         run B display name (default "after")
-  --html FILE            also write a self-contained HTML report
-  --latency-tolerance X  relative latency growth allowed beyond the
-                         sketch error bounds (default 0.10)
-  --share-tolerance X    absolute dominant-share growth allowed
-                         (default 0.10)
-  --fail-on-regression   exit 2 when any component regressed
-  --help                 this text
-
-Each artifact pair is optional, but a given kind must be supplied
-for both runs or neither, and at least one pair is required.
-)";
-}
-
-} // namespace
+#include "simcore/flags.hh"
 
 int
 main(int argc, char **argv)
@@ -70,50 +40,40 @@ main(int argc, char **argv)
     RunDiffConfig cfg;
     bool fail_on_regression = false;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
-        auto need_value = [&]() -> const std::string & {
-            if (i + 1 >= args.size()) {
-                std::cerr << "flag " << flag << " requires a value\n";
-                std::exit(1);
-            }
-            return args[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(std::cout);
-            return 0;
-        } else if (flag == "--sketches-a") {
-            sketches_a = need_value();
-        } else if (flag == "--sketches-b") {
-            sketches_b = need_value();
-        } else if (flag == "--alerts-a") {
-            alerts_a = need_value();
-        } else if (flag == "--alerts-b") {
-            alerts_b = need_value();
-        } else if (flag == "--critical-a") {
-            critical_a = need_value();
-        } else if (flag == "--critical-b") {
-            critical_b = need_value();
-        } else if (flag == "--label-a") {
-            label_a = need_value();
-        } else if (flag == "--label-b") {
-            label_b = need_value();
-        } else if (flag == "--html") {
-            html_path = need_value();
-        } else if (flag == "--latency-tolerance") {
-            cfg.latencyTolerance =
-                std::strtod(need_value().c_str(), nullptr);
-        } else if (flag == "--share-tolerance") {
-            cfg.shareTolerance =
-                std::strtod(need_value().c_str(), nullptr);
-        } else if (flag == "--fail-on-regression") {
-            fail_on_regression = true;
-        } else {
-            std::cerr << "unknown flag: " << flag << " (try --help)\n";
-            return 1;
-        }
-    }
+    const std::vector<flags::Flag> table = {
+        flags::text("--sketches-a", "FILE",
+                    "run A latency sketch bank (--sketch-out)", sketches_a),
+        flags::text("--sketches-b", "FILE", "run B latency sketch bank",
+                    sketches_b),
+        flags::text("--alerts-a", "FILE",
+                    "run A alert timeline (--slo-alerts-out)", alerts_a),
+        flags::text("--alerts-b", "FILE", "run B alert timeline",
+                    alerts_b),
+        flags::text("--critical-a", "FILE",
+                    "run A critical-path CSV (qoserve_explain "
+                    "--critical-csv)",
+                    critical_a),
+        flags::text("--critical-b", "FILE", "run B critical-path CSV",
+                    critical_b),
+        flags::text("--label-a", "NAME", "run A display name", label_a),
+        flags::text("--label-b", "NAME", "run B display name", label_b),
+        flags::text("--html", "FILE",
+                    "also write a self-contained HTML report", html_path),
+        flags::real("--latency-tolerance", "X",
+                    "relative latency growth allowed beyond the sketch "
+                    "error bounds",
+                    cfg.latencyTolerance, flags::kNonNegative),
+        flags::real("--share-tolerance", "X",
+                    "absolute dominant-share growth allowed",
+                    cfg.shareTolerance, flags::kNonNegative),
+        flags::toggle("--fail-on-regression",
+                      "exit 2 when any component regressed",
+                      fail_on_regression),
+    };
+    flags::parseMain(
+        "qoserve_report — diff two runs' streaming SLO analytics\n"
+        "(each artifact kind is supplied for both runs or neither)",
+        table, argc, argv);
 
     auto paired = [](const std::optional<std::string> &a,
                      const std::optional<std::string> &b,
@@ -131,14 +91,9 @@ main(int argc, char **argv)
     const bool haveAlerts = paired(alerts_a, alerts_b, "alert");
     const bool haveCritical =
         paired(critical_a, critical_b, "critical-path");
-    if (!haveSketches && !haveAlerts && !haveCritical) {
-        usage(std::cerr);
-        return 1;
-    }
-    if (cfg.latencyTolerance < 0.0 || cfg.shareTolerance < 0.0) {
-        std::cerr << "tolerances must be non-negative\n";
-        return 1;
-    }
+    if (!haveSketches && !haveAlerts && !haveCritical)
+        QOSERVE_FATAL("at least one artifact pair is required (try "
+                      "--help)");
 
     RunArtifacts before, after;
     before.label = label_a;
