@@ -11,12 +11,16 @@
  * records the mapping and the measured-vs-published comparison.
  *
  * Sweep benches fan their independent (policy, QPS, seed) runs across
- * a worker pool via runMany(). Every bench accepts:
+ * a worker pool via runMany(). Every bench parses its flags with
+ * parseBenchArgs() and accepts:
  *   --jobs N   worker threads (default hardware concurrency; 1 =
  *              serial). Output is bit-identical for every N.
  *   --json P   dump per-run wall-clock and simulation throughput as
  *              JSON (the perf-trajectory record, see
  *              BENCH_parallel.json).
+ * Benches that run their points one after another (no runMany() or
+ * parallelMap() fan-out) ignore --jobs, and their --json record holds
+ * only the total wall time.
  */
 
 #ifndef QOSERVE_BENCH_BENCH_COMMON_HH

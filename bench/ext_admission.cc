@@ -23,8 +23,9 @@ struct Row
 };
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Overload management: rejection vs relegation",
                        "the §2.2 / §3.4 contrast (extension study)");
 
@@ -90,14 +91,15 @@ run()
                 "regardless of importance; relegation\ndefers a slice "
                 "of low-priority work and completes everything once "
                 "the burst passes.\n");
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(qoserve::bench::parseBenchArgs("ext_admission", argc, argv));
     return 0;
 }

@@ -50,8 +50,9 @@ runAt(double qps, DecodePolicy policy, const Trace &trace_template,
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner(
         "Decode-pool policies for multiple TBT classes",
         "the future work of Section 4.1.3 (extension study)");
@@ -79,14 +80,16 @@ run()
     std::printf("\nLower is better. The deadline-aware pool serves the "
                 "200 ms class every ~4th\niteration, freeing decode "
                 "capacity the strictest-TBT cap strands.\n");
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("ext_decode_pool", argc, argv));
     return 0;
 }

@@ -156,8 +156,9 @@ stragglerSweep(const LatencyPredictor *predictor)
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Replica failures, stragglers and recovery",
                        "fault-injection extension (DESIGN.md §8)");
 
@@ -166,14 +167,15 @@ run()
 
     crashSweep(predictor);
     stragglerSweep(predictor);
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(qoserve::bench::parseBenchArgs("ext_failures", argc, argv));
     return 0;
 }

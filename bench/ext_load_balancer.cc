@@ -38,8 +38,9 @@ runWith(LoadBalancePolicy lb, double qps,
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Load balancing across replicas",
                        "round-robin baseline of §4.1.1 (extension)");
 
@@ -72,14 +73,16 @@ run()
             std::printf("\n");
         }
     }
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("ext_load_balancer", argc, argv));
     return 0;
 }

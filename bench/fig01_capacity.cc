@@ -109,20 +109,22 @@ burstPart()
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Headline efficiency and overload resilience",
                        "Figure 1");
     capacityPart();
     burstPart();
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(qoserve::bench::parseBenchArgs("fig01_capacity", argc, argv));
     return 0;
 }

@@ -16,8 +16,9 @@ namespace qoserve {
 namespace {
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Chunk-size throughput/latency tradeoff",
                        "Figure 4 and Section 4.1.4");
 
@@ -72,14 +73,16 @@ run()
     std::printf("throughput ratio chunk 2500 vs 256  : %.2fx "
                 "(paper: ~2x)\n",
                 tput_2500 / tput_256);
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("fig04_chunk_tradeoff", argc, argv));
     return 0;
 }

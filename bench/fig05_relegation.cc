@@ -15,8 +15,9 @@ namespace qoserve {
 namespace {
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Eager relegation ablation", "Figure 5");
 
     std::printf("%-10s %-22s %-22s %-14s\n", "QPS",
@@ -49,14 +50,16 @@ run()
                 "no-relegation median explodes (cascading\nviolations) "
                 "while eager relegation keeps it stable by deferring a "
                 "few percent of requests.\n");
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("fig05_relegation", argc, argv));
     return 0;
 }

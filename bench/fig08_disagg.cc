@@ -18,8 +18,9 @@ namespace qoserve {
 namespace {
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Prefill goodput under PD disaggregation",
                        "Figure 8");
 
@@ -72,14 +73,15 @@ run()
     std::printf("\nGoodput = max QPS per prefill replica with <= 1%% "
                 "violations; decode pools are identical\nacross "
                 "schedulers and excluded (Section 4.1.3).\n");
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(qoserve::bench::parseBenchArgs("fig08_disagg", argc, argv));
     return 0;
 }

@@ -49,8 +49,9 @@ observe(Policy policy, double qps)
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Dynamic chunk sizes over consecutive batches",
                        "Figure 9");
 
@@ -104,14 +105,16 @@ run()
                 "~20%% throughput gain)\n",
                 qoserve_busy, sarathi_busy,
                 100.0 * (1.0 - qoserve_busy / sarathi_busy));
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("fig09_dynamic_chunking", argc, argv));
     return 0;
 }

@@ -31,8 +31,9 @@ diurnalTrace()
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Transient overload with priority hints",
                        "Figure 12 (diurnal QPS and violation table)");
 
@@ -67,14 +68,16 @@ run()
     std::printf("\nPaper reference (4 h run): FCFS 81.9%% overall / "
                 "82.0%% important; EDF 84.1%% / 84.1%%;\nQoServe 8.6%% "
                 "overall with 0%% important violations.\n");
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("fig12_transient", argc, argv));
     return 0;
 }

@@ -20,8 +20,9 @@ namespace qoserve {
 namespace {
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner(
         "Rolling p99 latency of important requests over time",
         "Figure 13");
@@ -72,14 +73,16 @@ run()
                         vals[1], vals[2]);
         }
     }
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("fig13_rolling_tail", argc, argv));
     return 0;
 }

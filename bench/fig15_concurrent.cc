@@ -207,20 +207,23 @@ partB()
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Comparison with concurrent work",
                        "Figure 15 and Section 4.5");
     partA();
     partB();
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(
+        qoserve::bench::parseBenchArgs("fig15_concurrent", argc, argv));
     return 0;
 }

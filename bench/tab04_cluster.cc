@@ -75,8 +75,9 @@ runShared(const char *name, const Trace &trace, int replicas)
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Cluster-scale siloed vs shared serving",
                        "Table 4");
 
@@ -109,14 +110,15 @@ run()
     std::printf("\nPaper: Silo-(7,3,3) 13 GPUs 0.24%% violations; "
                 "Silo-(6,2,2) 10 GPUs 60.4%%;\nQoServe 10 GPUs 0%% — "
                 "23%% fewer GPUs at equal SLO attainment.\n");
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(qoserve::bench::parseBenchArgs("tab04_cluster", argc, argv));
     return 0;
 }

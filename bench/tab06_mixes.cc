@@ -75,8 +75,9 @@ runVaryingSlo()
 }
 
 void
-run()
+run(const bench::BenchOptions &opts)
 {
+    bench::WallTimer timer;
     bench::printBanner("Workload composition and SLO robustness",
                        "Table 6 and Section 4.4.2");
     runMix({0.70, 0.15, 0.15}, "70-15-15 (interactive dominant)", 4.5);
@@ -84,14 +85,15 @@ run()
     // calibration; run it at the same relative overload as the paper.
     runMix({0.15, 0.15, 0.70}, "15-15-70 (batch dominant)", 7.0);
     runVaryingSlo();
+    bench::writeBenchJson(opts, {}, timer.seconds());
 }
 
 } // namespace
 } // namespace qoserve
 
 int
-main()
+main(int argc, char **argv)
 {
-    qoserve::run();
+    qoserve::run(qoserve::bench::parseBenchArgs("tab06_mixes", argc, argv));
     return 0;
 }

@@ -6,6 +6,7 @@
 #include "predictor/latency_predictor.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "simcore/logging.hh"
@@ -59,6 +60,23 @@ ForestLatencyPredictor::predictSupported(const BatchFeatures &features,
 }
 
 namespace {
+
+/** Two doubles, one per lane of a 16-byte vector register (SSE2 on
+ *  x86-64, NEON on aarch64) through the compiler's generic vector
+ *  types: no intrinsic and no build flag. */
+typedef double Lanes __attribute__((vector_size(16)));
+
+/** Lane-wise comparison result: all ones where true, 0 where false. */
+using LaneMask = decltype(Lanes{} < Lanes{});
+
+/** Lanes from two consecutive doubles at any 8-byte alignment. */
+inline Lanes
+loadLanes(const double *p)
+{
+    Lanes v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
 
 /**
  * Largest unit in [0, units] whose probe is feasible, assuming
@@ -159,10 +177,30 @@ ChunkSolverCache::fits(int unit, double *x, SimDuration budget)
     // h(v_hi) <= budget (feasible), below <= lo proves
     // h(v_lo) > budget (infeasible). Unwalked trees may each still
     // add one to the count.
+    //
+    // The validity pass tests two trees per step, one per lane, with
+    // the same comparisons as a per-tree loop; each lane's mask adds
+    // to the count and appends the tree, if stale, to stale_ in
+    // ascending order.
     const double x1 = x[1], x2 = x[2], x3 = x[3];
-    std::size_t below = 0;
+    const Lanes v1 = {x1, x1}, v2 = {x2, x2}, v3 = {x3, x3};
+    const Lanes vb = {budget, budget};
+    LaneMask counts = {0, 0};
     std::size_t stale = 0;
-    for (std::size_t t = 0; t < n; ++t) {
+    std::size_t t = 0;
+    for (; t + 2 <= n; t += 2) {
+        const LaneMask inside =
+            (loadLanes(lo0 + t) < v1) & (v1 <= loadLanes(hi0 + t)) &
+            (loadLanes(lo1 + t) < v2) & (v2 <= loadLanes(hi1 + t)) &
+            (loadLanes(lo2 + t) < v3) & (v3 <= loadLanes(hi2 + t));
+        counts -= inside & (loadLanes(h + t) <= vb); // true lanes are -1
+        stale_[stale] = static_cast<std::uint32_t>(t);
+        stale += inside[0] == 0;
+        stale_[stale] = static_cast<std::uint32_t>(t + 1);
+        stale += inside[1] == 0;
+    }
+    std::size_t below = static_cast<std::size_t>(counts[0] + counts[1]);
+    if (t < n) {
         const bool inside = (lo0[t] < x1) & (x1 <= hi0[t]) &
                             (lo1[t] < x2) & (x2 <= hi1[t]) &
                             (lo2[t] < x3) & (x3 <= hi2[t]);

@@ -100,6 +100,8 @@ ChunkedScheduler::relegate(Request *req, SimTime now)
     QOSERVE_ASSERT(it != prefillQueue_.end(),
                    "relegation of unqueued request");
     prefillQueue_.erase(it);
+    if (partialRegular_.erase(req) != 0)
+        partialRelegated_.insert(req);
     req->setRelegated(true);
     req->cachedPriority = priorityOf(*req, now);
     prefillQueue_.insert(req);
@@ -290,22 +292,24 @@ ChunkedScheduler::preemptForKv(SimTime now)
     // been produced); among those, take the lowest-priority one,
     // breaking priority ties toward the youngest request. The tie
     // break makes the choice a pure function of request state — the
-    // set hashes pointers, so without it the victim would depend on
+    // sets hash pointers, so without it the victim would depend on
     // heap addresses and vary run to run under ASLR.
     Request *victim = nullptr;
     // qoserve-lint: allow(unordered-iter)
-    for (Request *cand : partiallyPrefilled_) {
-        if (victim == nullptr ||
-            cand->cachedPriority > victim->cachedPriority ||
-            (cand->cachedPriority == victim->cachedPriority &&
-             cand->id() > victim->id())) {
-            victim = cand;
+    for (const auto *partial : {&partialRegular_, &partialRelegated_}) {
+        for (Request *cand : *partial) {
+            if (victim == nullptr ||
+                cand->cachedPriority > victim->cachedPriority ||
+                (cand->cachedPriority == victim->cachedPriority &&
+                 cand->id() > victim->id())) {
+                victim = cand;
+            }
         }
     }
 
     if (victim != nullptr) {
         prefillQueue_.erase(victim);
-        partiallyPrefilled_.erase(victim);
+        partialSetOf(victim).erase(victim);
         pendingPrefill_ -= victim->prefillRemaining();
         env_.kv->release(victim->id());
         victim->resetAfterKvPreemption();
@@ -357,12 +361,12 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
         }
         switch (req->phase()) {
           case RequestPhase::Prefilling:
-            partiallyPrefilled_.insert(req);
+            partialSetOf(req).insert(req);
             req->cachedPriority = priorityOf(*req, end);
             prefillQueue_.insert(req);
             break;
           case RequestPhase::Decoding:
-            partiallyPrefilled_.erase(req);
+            partialSetOf(req).erase(req);
             decodes_.push_back(req);
             onCompositionChange();
             // The prompt KV is now complete: offer its full blocks to
@@ -372,7 +376,7 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
                 env_.prefixCache->insert(req->id(), req->spec(), end);
             break;
           case RequestPhase::Finished:
-            partiallyPrefilled_.erase(req);
+            partialSetOf(req).erase(req);
             // Single-token requests complete in the same iteration as
             // their final chunk; cache their prompt before the KV is
             // released (the blocks survive as cache-held copies).

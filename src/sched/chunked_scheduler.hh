@@ -133,14 +133,14 @@ class ChunkedScheduler : public Scheduler
 
     /**
      * Requests with some prefill chunks processed that are still in
-     * the prefill queue — the candidates selective preemption must
-     * protect. Kept small by construction (bounded by chunk budget
-     * over iterations).
+     * the prefill queue and were never relegated — the candidates
+     * selective preemption must protect (a relegated request is
+     * never protected).
      */
     const std::unordered_set<Request *> &
-    partiallyPrefilled() const
+    unrelegatedPartialPrefills() const
     {
-        return partiallyPrefilled_;
+        return partialRegular_;
     }
 
     /** One-iteration wall-time estimate for a typical mixed batch. */
@@ -204,10 +204,25 @@ class ChunkedScheduler : public Scheduler
     /** Finish bookkeeping for a completed request. */
     void finish(Request *req);
 
+    /** The partial-prefill set @p req belongs in by its relegation. */
+    std::unordered_set<Request *> &
+    partialSetOf(const Request *req)
+    {
+        return req->relegated() ? partialRelegated_ : partialRegular_;
+    }
+
     SchedulerEnv env_;
     ChunkedSchedulerConfig cfg_;
     PrefillQueue prefillQueue_;
-    std::unordered_set<Request *> partiallyPrefilled_;
+    /**
+     * Requests with some prefill chunks processed that are still in
+     * the prefill queue, split by relegation. Relegation is one-way
+     * (only relegate() sets the flag), so a request moves from
+     * partialRegular_ to partialRelegated_ at most once and the
+     * urgency scan never visits a relegated request.
+     */
+    std::unordered_set<Request *> partialRegular_;
+    std::unordered_set<Request *> partialRelegated_;
     std::vector<Request *> decodes_;
     std::int64_t pendingPrefill_ = 0;
     SchedulerStats stats_;

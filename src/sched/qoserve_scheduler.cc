@@ -186,12 +186,11 @@ QoServeScheduler::collectUrgentInflight(SimTime now,
     // absorb one more iteration of delay must not be preempted this
     // iteration (§3.4 condition 2).
     SimDuration margin = typicalIterationTime();
-    // The sort below imposes a total order, so hash order here cannot
-    // leak into the result.
+    // Relegated requests are never protected, so only the unrelegated
+    // partial prefills are scanned. The sort below imposes a total
+    // order, so hash order here cannot leak into the result.
     // qoserve-lint: allow(unordered-iter)
-    for (Request *req : partiallyPrefilled()) {
-        if (req->relegated())
-            continue;
+    for (Request *req : unrelegatedPartialPrefills()) {
         SimTime eta =
             now + margin +
             estPrefillTime(static_cast<double>(req->prefillRemaining()));

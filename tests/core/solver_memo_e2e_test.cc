@@ -5,7 +5,9 @@
  * records of the same run with it off (the `--no-solver-cache`
  * switch), field by field. Covers one replica driven past its knee —
  * deep queues, the solver on every iteration — and an eight-replica
- * shared cluster.
+ * shared cluster. The knee run's memo counters are also pinned
+ * exactly, so a change to the memo's work shows even where the
+ * records do not.
  */
 
 #include "app/serving_system.hh"
@@ -18,10 +20,10 @@ namespace qoserve {
 namespace {
 
 /** Records of @p trace served with the forest predictor, memo on or
- *  off; also reports the memo's solve count summed over replicas. */
+ *  off; also reports each replica's memo counters. */
 std::vector<RequestRecord>
 serveRecords(const Trace &trace, int replicas, bool memo,
-             std::uint64_t &memo_solves)
+             std::vector<ChunkSolverCache::Stats> &memo_stats)
 {
     ServingConfig cfg;
     cfg.policy = Policy::QoServe;
@@ -30,11 +32,11 @@ serveRecords(const Trace &trace, int replicas, bool memo,
     cfg.trainJobs = 1;
     ServingSystem system(cfg);
     auto sim = system.serveForInspection(trace);
-    memo_solves = 0;
+    memo_stats.clear();
     for (std::size_t i = 0; i < sim->numReplicas(); ++i) {
         const auto &sched = dynamic_cast<const QoServeScheduler &>(
             sim->replica(i).scheduler());
-        memo_solves += sched.solverCacheStats().solves;
+        memo_stats.push_back(sched.solverCacheStats());
     }
     return sim->metrics().records();
 }
@@ -70,21 +72,33 @@ expectSameRecords(const std::vector<RequestRecord> &on,
     }
 }
 
+Trace
+azureCodeTrace(double qps, std::size_t count, std::uint64_t seed)
+{
+    return TraceBuilder()
+        .dataset(azureCode())
+        .seed(seed)
+        .buildCount(PoissonArrivals(qps), count);
+}
+
 void
 checkMemoInvariance(double qps, std::size_t count, int replicas,
                     std::uint64_t seed)
 {
-    Trace trace = TraceBuilder()
-                      .dataset(azureCode())
-                      .seed(seed)
-                      .buildCount(PoissonArrivals(qps), count);
-    std::uint64_t solves_on = 0, solves_off = 0;
-    auto on = serveRecords(trace, replicas, true, solves_on);
-    auto off = serveRecords(trace, replicas, false, solves_off);
+    Trace trace = azureCodeTrace(qps, count, seed);
+    std::vector<ChunkSolverCache::Stats> on_stats, off_stats;
+    auto on = serveRecords(trace, replicas, true, on_stats);
+    auto off = serveRecords(trace, replicas, false, off_stats);
+    auto solves = [](const std::vector<ChunkSolverCache::Stats> &all) {
+        std::uint64_t n = 0;
+        for (const ChunkSolverCache::Stats &s : all)
+            n += s.solves;
+        return n;
+    };
     // The comparison is only meaningful if the memo actually served
     // the solves of the memoised run.
-    EXPECT_GT(solves_on, 0u);
-    EXPECT_EQ(solves_off, 0u);
+    EXPECT_GT(solves(on_stats), 0u);
+    EXPECT_EQ(solves(off_stats), 0u);
     expectSameRecords(on, off);
 }
 
@@ -97,6 +111,30 @@ TEST(SolverMemoE2E, KneeReplicaRecordsIdenticalWithMemoOnAndOff)
     // validity test that skips it) makes this run diverge, on each of
     // the three non-chunk axes.
     checkMemoInvariance(5.0, 12000, 1, 3);
+}
+
+TEST(SolverMemoE2E, KneeReplicaWorkLedgerIsExact)
+{
+    // The memo's counters are pure functions of (trace, config), so
+    // they pin which trees each probe walks and in what order: a probe
+    // kernel that walks a different set of stale trees, walks them in
+    // another order or decides a probe at another point changes
+    // leafWalks, earlyDecisions or fullQuantiles even when every
+    // record still matches the uncached run.
+    std::vector<ChunkSolverCache::Stats> stats;
+    serveRecords(azureCodeTrace(5.0, 12000, 3), 1, true, stats);
+    ASSERT_EQ(stats.size(), 1u);
+    const ChunkSolverCache::Stats &s = stats[0];
+    EXPECT_EQ(s.solves, 21056u);
+    EXPECT_EQ(s.replayHits, 0u);
+    EXPECT_EQ(s.queries, 107779u);
+    EXPECT_EQ(s.hits, s.queries);
+    EXPECT_EQ(s.evaluations, 1u);
+    EXPECT_EQ(s.invalidations, 0u);
+    EXPECT_EQ(s.leafHits, 1040726u);
+    EXPECT_EQ(s.leafWalks, 293729u);
+    EXPECT_EQ(s.earlyDecisions, 102657u);
+    EXPECT_EQ(s.fullQuantiles, 1907u);
 }
 
 TEST(SolverMemoE2E, EightReplicaRecordsIdenticalWithMemoOnAndOff)

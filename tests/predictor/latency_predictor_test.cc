@@ -377,7 +377,8 @@ TEST_F(PredictorTest, EarlyDecisionMatchesColdSolveAtExactTies)
     // latency, and the adjacent doubles on both sides, serve as the
     // budget. Tree counts cover a single tree, frac = 0 with an odd
     // count (q = 0.5 over 7), lo == hi (q = 1), and the nth_element
-    // path (65 trees).
+    // path (65 trees); the odd counts also reach the one-tree scalar
+    // tail after the validity pass's two-lane steps.
     constexpr int kMaxChunk = 2560;
     constexpr int kStep = 64;
     const BatchFeatures states[] = {

@@ -215,5 +215,71 @@ TEST_F(ChunkedSchedulerTest, KvExhaustionPreemptsPartialPrefill)
     EXPECT_EQ(b->phase(), RequestPhase::Finished);
 }
 
+/** FCFS that relegates request @p id once it is partially prefilled,
+ *  so a relegated request holds KV mid-prefill. */
+class RelegateOnceStarted : public FcfsScheduler
+{
+  public:
+    RelegateOnceStarted(const SchedulerEnv &env,
+                        ChunkedSchedulerConfig cfg, std::uint64_t id)
+        : FcfsScheduler(env, cfg), id_(id)
+    {
+    }
+
+  protected:
+    bool
+    shouldRelegate(const Request &req, SimTime) const override
+    {
+        return req.id() == id_ && req.prefillDone() > 0;
+    }
+
+  private:
+    std::uint64_t id_;
+};
+
+TEST_F(ChunkedSchedulerTest, KvExhaustionPreemptsRelegatedPartialPrefill)
+{
+    // Relegated partial prefills are kept apart from the unrelegated
+    // ones (the urgency scan skips them), but they must stay KV
+    // preemption victims: the older decode is never evicted while a
+    // relegated request holds prefill KV.
+    BlockManager tiny_kv(TokenCount{640}, TokenCount{16}); // 40 blocks
+    SchedulerEnv env = fx_.env;
+    env.kv = &tiny_kv;
+    ChunkedSchedulerConfig cfg;
+    cfg.fixedChunkTokens = 64;
+    RelegateOnceStarted sched(env, cfg, 2);
+
+    Request *a = fx_.makeRequest(1, SimTime{0.0}, 256, 200, 0);
+    sched.enqueue(a, SimTime{0.0});
+    SimTime now;
+    int guard = 0;
+    while (a->decodeDone() < 100 && ++guard < 500)
+        runIteration(sched, fx_.perf, now);
+    ASSERT_EQ(a->phase(), RequestPhase::Decoding);
+
+    // b's prompt (300 tokens, 19 blocks) plus a's peak context (456
+    // tokens, 29 blocks) exceed the cache, and b is relegated after
+    // its first 64-token chunk.
+    Request *b = fx_.makeRequest(2, now, 300, 50, 0);
+    sched.enqueue(b, now);
+    int relegated_victims = 0;
+    guard = 0;
+    while (sched.hasWork() && ++guard < 3000) {
+        const bool b_relegated_partial =
+            b->phase() == RequestPhase::Prefilling && b->relegated();
+        const int before = b->record().kvPreemptions;
+        runIteration(sched, fx_.perf, now);
+        if (b->record().kvPreemptions > before && b_relegated_partial)
+            ++relegated_victims;
+    }
+    EXPECT_LT(guard, 3000);
+    EXPECT_TRUE(b->record().wasRelegated);
+    EXPECT_GE(relegated_victims, 1);
+    EXPECT_EQ(a->record().kvPreemptions, 0);
+    EXPECT_EQ(a->phase(), RequestPhase::Finished);
+    EXPECT_EQ(b->phase(), RequestPhase::Finished);
+}
+
 } // namespace
 } // namespace qoserve
